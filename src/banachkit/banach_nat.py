@@ -19,7 +19,7 @@ from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
 from .errors import IllDefinedError, NoPathError, VerificationError
 from .ranges import bounding_b
-from .streams import FirstZeroTracker, FuelLike, LazySeq, _bound
+from .streams import FuelLike, LazySeq, _bound
 
 __all__ = [
     "BoundedInjPair",
@@ -40,13 +40,6 @@ __all__ = [
 
 VIA_F0 = "via-f0"
 VIA_F1_INV = "via-f1-inverse"
-
-
-def _least_witness(f: LazySeq, target: int, bound: int) -> Optional[int]:
-    for t in range(bound + 1):
-        if f(t) == target:
-            return t
-    return None
 
 
 @dataclass
@@ -128,24 +121,26 @@ def tree_member(p: BoundedInjPair, sigma: Sequence[int]) -> bool:
     for m in range(L):
         if sigma[m] not in (0, 1):
             return False
-        t = _least_witness(f1, m, b1(m))
+        t = f1.first_index(m, b1(m) + 1)
         if t is None:
             if sigma[m] != 0:
                 return False
         else:
-            if _least_witness(f0, t, b0(t)) is None and sigma[m] != 1:
+            if f0.first_index(t, b0(t) + 1) is None and sigma[m] != 1:
                 return False
+    # (iii) and (iv) are vacuous unless sigma takes both bits, and only then
+    # do they read the pointer q(m) = f1(f0(m))
+    if 0 not in sigma or 1 not in sigma:
+        return True
     for m in range(L):
-        if sigma[m] != 0:
-            continue
-        for n in range(L):
-            if sigma[n] == 1 and f1(f0(m)) == n:
+        if sigma[m] == 0:
+            n = f1(f0(m))
+            if n < L and sigma[n] == 1:
                 return False  # clause (iii)
     for n in range(L):
-        if sigma[n] != 1:
-            continue
-        for m in range(L):
-            if sigma[m] == 0 and f1(f0(n)) == m:
+        if sigma[n] == 1:
+            m = f1(f0(n))
+            if m < L and sigma[m] == 0:
                 return False  # clause (iv)
     return True
 
@@ -160,7 +155,7 @@ def path_to_bijection(p: BoundedInjPair, path: Sequence[int]) -> PartialBijectio
             forward[m] = p.f0(m)
             tags[m] = VIA_F0
         else:
-            t = _least_witness(p.f1, m, p.b1(m))
+            t = p.f1.first_index(m, p.b1(m) + 1)
             if t is None:
                 raise IllDefinedError(m)
             forward[m] = t
@@ -180,31 +175,13 @@ def _solve_leftmost(p: BoundedInjPair, depth: int) -> Optional[List[int]]:
     generic tree search.
     """
     f0, f1, b0, b1 = p.f0, p.f1, p.b0, p.b1
-    b1_vals = [b1(m) for m in range(depth)]
-
-    first_f1: Dict[int, int] = {}
-    for t in range(max(b1_vals, default=0) + 1):
-        first_f1.setdefault(f1(t), t)
-    witness: List[Optional[int]] = [None] * depth
-    for m in range(depth):
-        t = first_f1.get(m)
-        if t is not None and t <= b1_vals[m]:
-            witness[m] = t
-
-    b0_vals = {t: b0(t) for t in set(w for w in witness if w is not None)}
-    first_f0: Dict[int, int] = {}
-    for s in range(max(b0_vals.values(), default=0) + 1):
-        first_f0.setdefault(f0(s), s)
-
     forced: List[Optional[int]] = [None] * depth
     for m in range(depth):
-        t = witness[m]
+        t = f1.first_index(m, b1(m) + 1)
         if t is None:
             forced[m] = 0
-        else:
-            s = first_f0.get(t)
-            if s is None or s > b0_vals[t]:
-                forced[m] = 1
+        elif f0.first_index(t, b0(t) + 1) is None:
+            forced[m] = 1
 
     parent = list(range(depth))
 
@@ -251,7 +228,8 @@ def banach_bijection_nat(p: BoundedInjPair, n_max: int,
             "the input pair violates its injection or bounding invariants")
     # spot-check the closed form against the verbatim clauses on a prefix
     head = min(depth, 48)
-    assert tree_member(p, sigma[:head]), "leftmost path failed the verbatim clauses"
+    if not tree_member(p, sigma[:head]):
+        raise VerificationError("leftmost path failed the verbatim clauses")
     return path_to_bijection(p, sigma)
 
 
@@ -292,12 +270,12 @@ def chain_trace(p: BoundedInjPair, start: int, side: Literal["A", "B"],
     for _ in range(b):
         kind, value = node
         if kind == "A":
-            t = _least_witness(p.f1, value, p.b1(value))
+            t = p.f1.first_index(value, p.b1(value) + 1)
             if t is None:
                 return ChainClassification("A-source", value, steps, None, b)
             node = ("B", t)
         else:
-            s = _least_witness(p.f0, value, p.b0(value))
+            s = p.f0.first_index(value, p.b0(value) + 1)
             if s is None:
                 return ChainClassification("B-source", value, steps, None, b)
             node = ("A", s)
@@ -321,10 +299,8 @@ def gadget_llpo(g: LazySeq, verified_prefix: int = 8) -> BoundedInjPair:
     value reads only g(0..n); the bounds are b0(n) = n + 2, b1(n) = n.
     """
 
-    zero = FirstZeroTracker(g)
-
     def least_zero_below(n: int) -> Optional[int]:
-        return zero.least_zero_below(n - 1)  # reads g(0..n-2)
+        return g.first_index(0, n - 1)  # reads g(0..n-2)
 
     def f0_at(n: int) -> int:
         if n % 2 == 0:
@@ -415,7 +391,7 @@ def verify_banach(p: BoundedInjPair, h: PartialBijection, n_max: int) -> BanachR
     for n in range(n_max):
         cls = chain_trace(p, n, "B", n_max)
         if cls.origin == "A-source":
-            coverer = _least_witness(p.f0, n, p.b0(n))
+            coverer = p.f0.first_index(n, p.b0(n) + 1)
         elif cls.origin == "B-source":
             coverer = p.f1(n)
         else:

@@ -114,7 +114,7 @@ def parse_fn(text: str) -> LazySeq:
         return LazySeq(named[text], name=text)
     if text.startswith("const:"):
         k = text[len("const:"):]
-        if not k.isdigit():
+        if not (k.isascii() and k.isdigit()):
             raise ParseError(text, len("const:"), "unsigned integer")
         return LazySeq(lambda n, v=int(k): v, name=text)
     if ";" in text:

@@ -13,7 +13,7 @@ from functools import total_ordering
 
 from ..errors import ParseError
 
-__all__ = ["Dyadic", "parse_dyadic", "format_dyadic"]
+__all__ = ["Dyadic", "parse_dyadic"]
 
 
 @total_ordering
@@ -105,7 +105,3 @@ def parse_dyadic(text: str) -> Dyadic:
     if not m:
         raise ParseError(text, 0, "dyadic literal k/2^j or integer")
     return Dyadic(int(m.group(1)), int(m.group(2) or 0))
-
-
-def format_dyadic(d: Dyadic) -> str:
-    return str(d)

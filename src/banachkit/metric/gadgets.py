@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..streams import FirstZeroTracker, LazySeq
+from ..streams import LazySeq
 from .dyadic import Dyadic
 from .spaces import BitStream, CantorPoint, CantorSpace, IntervalPoint, UnitInterval
 from .ucfun import UCFun, cantor_fun, interval_fun
@@ -125,12 +125,11 @@ def preimage_gadget(w: LazySeq, max_level: int = 40) -> UCFun:
     x(0..n), so the identity is a modulus.
     """
     space = CantorSpace(max_level)
-    zero = FirstZeroTracker(w)
 
     def bit_fn(x, n: int) -> int:
         if n == 0:
             return 0
-        least = zero.least_zero_below(n)  # least zero among w(0..n-1), if any
+        least = w.first_index(0, n)  # least zero among w(0..n-1), if any
         if least == n - 1:
             return x(0) if (n - 1) % 2 == 0 else 1 - x(0)
         return x(n) if x(0) == 0 else 1 - x(n)

@@ -17,7 +17,6 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..streams import LazySeq
 from .dyadic import Dyadic
 
 __all__ = [
@@ -60,10 +59,6 @@ class BitStream:
     @staticmethod
     def constant(bit: int) -> "BitStream":
         return BitStream((), (bit,))
-
-    @staticmethod
-    def from_lazyseq(s: LazySeq, prefix_len: int, cycle: Sequence[int] = (0,)) -> "BitStream":
-        return BitStream(tuple(min(1, s(i)) for i in range(prefix_len)), tuple(cycle))
 
     def bit(self, i: int) -> int:
         if i < len(self.prefix):
@@ -184,10 +179,6 @@ class CompactSpace:
     def dist(self, a: Value, b: Value) -> Dyadic:
         raise NotImplementedError
 
-    def dist_ids(self, j: int, i: int, j2: int, i2: int) -> Dyadic:
-        """Exact distance between two net points given by level and id."""
-        return self.dist(self.net_point(j, i), self.net_point(j2, i2))
-
     def dist_lt_pow2(self, a: Value, b: Value, m: int) -> bool:
         """d(a, b) < 2^-m, decided exactly."""
         raise NotImplementedError
@@ -213,9 +204,6 @@ class CompactSpace:
 
     def ids_in_ball(self, level: int, center: Value, radius: Dyadic) -> Iterable[int]:
         """Superset of the ids whose points lie within the open ball."""
-        raise NotImplementedError
-
-    def point_of(self, v: Value) -> Point:
         raise NotImplementedError
 
 
@@ -260,9 +248,6 @@ class UnitInterval(CompactSpace):
         lo = max(0, -(-(c - r) // step))        # ceil
         hi = min(1 << (level + 1), (c + r) // step)
         return range(lo, hi + 1)
-
-    def point_of(self, v: Dyadic) -> IntervalPoint:
-        return IntervalPoint(v)
 
 
 class CantorSpace(CompactSpace):
@@ -326,9 +311,6 @@ class CantorSpace(CompactSpace):
             head = (head << 1) | center.bit(i)
         lo = head << (L - k)
         return range(lo, lo + (1 << (L - k)))
-
-    def point_of(self, v: BitStream) -> CantorPoint:
-        return CantorPoint(v)
 
 
 def unit_interval(max_level: int) -> UnitInterval:

@@ -67,17 +67,8 @@ class UCFun:
             raise TypeError(f"{self.name} has no precision-indexed image")
         return self._precision_map(v, m)
 
-    def apply_net(self, j: int, i: int, out_level: int) -> int:
-        """Net action as ids: the level-out_level id of F(x_{j,i})."""
-        v = self.image_value(self.space.net_point(j, i), out_level)
-        return self.space.id_of(out_level, v)
-
     def apply_value(self, v: Value, out_level: int) -> Value:
         return self.image_value(v, out_level)
-
-    def image_bit(self, v: Value, n: int) -> int:
-        assert self._bit_map is not None
-        return self._bit_map(_stream_bits(v), n)
 
     def image_agrees(self, v: Value, y_bits: Callable[[int], int], through: int) -> bool:
         """d(F(v), y) < 2^-through on Cantor, decided from bits 0..through."""

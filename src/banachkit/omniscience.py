@@ -22,7 +22,6 @@ from typing import Callable, Optional, Tuple, Union
 from .errors import NoPathError, NotATreeError
 from .streams import (
     Exhausted,
-    FirstZeroTracker,
     Found,
     Fuel,
     FuelLike,
@@ -30,7 +29,6 @@ from .streams import (
     OracleResult,
     UltimatelyConstantSeq,
     _bound,
-    _first_zero,
     lpo,
 )
 
@@ -97,7 +95,7 @@ def llpomin(s: LazySeq, fuel: FuelLike) -> OracleResult:
     promise yields the conventional answer 0.
     """
     b = _bound(fuel)
-    k = _first_zero(s, b)
+    k = s.first_index(0, b)
     if k is not None:
         return Found(_parity(k))
     if s.no_zero:
@@ -123,10 +121,8 @@ def h_map(s: LazySeq) -> LazySeq:
 def j_map(s: LazySeq) -> LazySeq:
     """Freeze s to the constant 1 after its first zero; agrees with s through
     that zero. Preserves a no-zero promise (the map is then the identity)."""
-    zero = FirstZeroTracker(s)
-
     def gen(n: int) -> int:
-        return 1 if zero.least_zero_below(n) is not None else s(n)
+        return 1 if s.first_index(0, n) is not None else s(n)
 
     return LazySeq(gen, name=f"J({s.name})", no_zero=s.no_zero)
 
@@ -141,17 +137,15 @@ def phi_map(s: LazySeq, scan_bound: Optional[int] = None) -> LazySeq:
     the bound is odd (then the image is all ones by construction).
     """
 
-    zero = FirstZeroTracker(s)
-
     def gen(n: int) -> int:
-        k = zero.least_zero_below(n + 1)
+        k = s.first_index(0, n + 1)
         if k is None or k % 2 == 1:
             return 1
         return 0
 
     promise = s.no_zero
     if scan_bound is not None and not promise:
-        k = zero.least_zero_below(scan_bound)
+        k = s.first_index(0, scan_bound)
         if k is not None and k % 2 == 1:
             promise = True
     return LazySeq(gen, name=f"phi({s.name})", no_zero=promise)
@@ -250,7 +244,7 @@ def grilliot_lpo(R: Realizer, h: LazySeq, fuel: FuelLike) -> OracleResult:
         return Exhausted(b)
     r = _parity(r_res.value)
 
-    i = _first_zero(h, b)
+    i = h.first_index(0, b)
     if i is None:
         if not h.no_zero:
             return Exhausted(b)
@@ -344,7 +338,7 @@ def llpomin_via_wkl(s: LazySeq, depth: int) -> int:
         if any(b != 1 for b in sigma[1:]) or sigma[0] not in (0, 1):
             return False
         n = len(sigma) - 1
-        k = _first_zero(s, n + 1)
+        k = s.first_index(0, n + 1)
         return k is None or _parity(k) == sigma[0]
 
     path = wkl_search(member, depth)

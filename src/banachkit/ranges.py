@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, List, Literal, Optional, Tuple
+from typing import Callable, List, Literal, Tuple
 
-from .errors import RefutationFailedError
+from .errors import RefutationFailedError, VerificationError
 from .streams import (
     Exhausted,
     Found,
@@ -111,14 +111,6 @@ class OracleSeq:
                        name=self.name or "oracle-seq")
 
 
-def _witness_leq(f: LazySeq, target: int, bound: int) -> Optional[int]:
-    """Least t <= bound with f(t) = target, or None."""
-    for t in range(bound + 1):
-        if f(t) == target:
-            return t
-    return None
-
-
 def verify_range_aux(f: LazySeq, aux: LazySeq, kind: Literal["rho", "beta"],
                      n_max: int, fuel: FuelLike) -> RangeAuxReport:
     """Check the claimed predicate on indices n <= n_max.
@@ -131,11 +123,7 @@ def verify_range_aux(f: LazySeq, aux: LazySeq, kind: Literal["rho", "beta"],
     b = _bound(fuel)
     report = RangeAuxReport(kind=kind, checked_up_to=n_max, fuel=b)
     for n in range(n_max + 1):
-        witness = None
-        for t in range(b):
-            if f(t) == n:
-                witness = t
-                break
+        witness = f.first_index(n, b)
         if kind == "rho":
             claimed = aux(n) > 0
             if witness is not None and not claimed:
@@ -153,7 +141,7 @@ def verify_range_aux(f: LazySeq, aux: LazySeq, kind: Literal["rho", "beta"],
 def t_beta_to_rho(f: LazySeq, b: LazySeq) -> LazySeq:
     """chi(n) = 1 iff some t <= b(n) has f(t) = n. Total; when beta(f, b)
     holds this is the range characteristic of f."""
-    return LazySeq(lambda n: 1 if _witness_leq(f, n, b(n)) is not None else 0,
+    return LazySeq(lambda n: 1 if f.first_index(n, b(n) + 1) is not None else 0,
                    name="t_beta_to_rho")
 
 
@@ -170,10 +158,8 @@ def t_rho_to_beta(f: LazySeq, chi: LazySeq, fuel: FuelLike) -> OracleSeq:
     def compute(n: int) -> OracleResult:
         if chi(n) == 0:
             return Found(0)
-        for t in range(b):
-            if f(t) == n:
-                return Found(t)
-        return Exhausted(b)
+        t = f.first_index(n, b)
+        return Found(t) if t is not None else Exhausted(b)
 
     return OracleSeq(compute, name="t_rho_to_beta")
 
@@ -208,10 +194,8 @@ def bounding_b(f: LazySeq, fuel: FuelLike) -> OracleSeq:
     b = _bound(fuel)
 
     def compute(n: int) -> OracleResult:
-        for t in range(b):
-            if f(t) == n:
-                return Found(t)
-        return Exhausted(b)
+        t = f.first_index(n, b)
+        return Found(t) if t is not None else Exhausted(b)
 
     return OracleSeq(compute, name="bounding-b")
 
@@ -240,5 +224,6 @@ def refute_total_translator(T: Callable[[LazySeq, LazySeq], LazySeq],
     if b2 != b:
         raise RefutationFailedError(b, b2)
     # beta(f2, T(f2,g2)) fails at 0: f2 has a zero, but none at any t <= b.
-    assert all(f2(t) != 0 for t in range(b + 1))
+    if f2.first_index(0, b + 1) is not None:
+        raise VerificationError(f"{f2.name} has a zero at or below the translator's bound {b}")
     return TranslatorCounterexample(f2=f2, g2=g2, b=b, failure_index=0)

@@ -4,6 +4,14 @@ A LazySeq is a total deterministic function N -> N evaluated on demand and
 memoized. It is the carrier for everything else in the package: inputs to
 oracles, characteristic functions, bounding functions, Cantor points.
 
+Every bounded search of the form "least t < bound with s(t) = v" (witnesses,
+bounding values, first zeros) goes through `LazySeq.first_index`. Each
+sequence keeps one first-occurrence index over the prefix it has scanned, so
+repeated searches cost no rereads. The index reads through the sequence's own
+point query and reads exactly what a linear scan would: s(0..t) for the
+answer t, or s(0..bound-1) when there is none. Past the memo cap it stops
+recording and answers by scanning on from the recorded prefix.
+
 The classically non-computable functionals (zero detection, zero selection,
 least zero) are made honest by an explicit search bound ("fuel"): a positive
 answer is always backed by a witness below the bound, and the only way to get
@@ -67,6 +75,7 @@ class LazySeq:
         self._cache: dict[int, int] = {}
         self._lock = threading.Lock()
         self._max_cache = max_cache if max_cache is not None else _DEFAULT_CACHE_CAP
+        self._index: Optional[_FirstIndex] = None
         self.name = name
         self.no_zero = no_zero
         self.all_zero = all_zero
@@ -86,6 +95,18 @@ class LazySeq:
                 return self._cache.setdefault(n, value)
         return value
 
+    def first_index(self, value: int, bound: int) -> Optional[int]:
+        """Least t < bound with s(t) = value, or None.
+
+        Reads s(0..t) for the answer t, or s(0..bound-1) when there is none,
+        and of those only the indices no earlier search has scanned.
+        """
+        if self._index is None:
+            with self._lock:
+                if self._index is None:
+                    self._index = _FirstIndex()
+        return self._index.find(self, value, bound)
+
     def with_no_zero_promise(self) -> "LazySeq":
         """Same sequence, with the caller's word that it has no zero."""
         return LazySeq(self, name=self.name, no_zero=True)
@@ -98,6 +119,39 @@ class LazySeq:
         tag = self.name or "LazySeq"
         flags = "".join(f for f, on in ((",no-zero", self.no_zero), (",all-zero", self.all_zero)) if on)
         return f"<{tag}{flags}>"
+
+
+class _FirstIndex:
+    """First index of every value in the scanned prefix s(0..scanned-1).
+
+    The prefix grows only as far as a search needs, and at most to the
+    sequence's memo cap; searches past the cap scan on from the prefix
+    without recording.
+    """
+
+    __slots__ = ("first", "scanned", "lock")
+
+    def __init__(self):
+        self.first: dict[int, int] = {}
+        self.scanned = 0
+        self.lock = threading.Lock()
+
+    def find(self, s: LazySeq, value: int, bound: int) -> Optional[int]:
+        with self.lock:
+            t = self.first.get(value)
+            if t is None:
+                t = self.scanned
+                cap = s._max_cache
+                while t < bound:
+                    v = s(t)
+                    if cap is None or t < cap:
+                        self.first.setdefault(v, t)
+                        self.scanned = t + 1
+                    if v == value:
+                        return t
+                    t += 1
+                return None
+        return t if t < bound else None
 
 
 class UltimatelyConstantSeq(LazySeq):
@@ -177,39 +231,6 @@ def diagonal(e: Callable[[int], LazySeq]) -> LazySeq:
     return LazySeq(lambda m: 1 - min(1, e(m)(m)), name="diagonal")
 
 
-def _first_zero(s: LazySeq, bound: int) -> Optional[int]:
-    for n in range(bound):
-        if s(n) == 0:
-            return n
-    return None
-
-
-class FirstZeroTracker:
-    """Incremental search for the least zero of a sequence.
-
-    Repeated queries with growing bounds cost amortized one evaluation per
-    index instead of a rescan, which matters for the per-index preprocessing
-    maps and the gadget constructions.
-    """
-
-    def __init__(self, s: LazySeq):
-        self._s = s
-        self._scanned = 0
-        self._found: Optional[int] = None
-        self._lock = threading.Lock()
-
-    def least_zero_below(self, bound: int) -> Optional[int]:
-        """Least index < bound with value 0, or None."""
-        with self._lock:
-            while self._found is None and self._scanned < bound:
-                if self._s(self._scanned) == 0:
-                    self._found = self._scanned
-                else:
-                    self._scanned += 1
-            z = self._found
-        return z if z is not None and z < bound else None
-
-
 def lpo(s: LazySeq, fuel: FuelLike, *, no_zero_promise: bool = False) -> OracleResult:
     """Zero detector: the answer 0 means "a zero exists".
 
@@ -218,7 +239,7 @@ def lpo(s: LazySeq, fuel: FuelLike, *, no_zero_promise: bool = False) -> OracleR
     otherwise the honest answer is Exhausted.
     """
     b = _bound(fuel)
-    if _first_zero(s, b) is not None:
+    if s.first_index(0, b) is not None:
         return Found(0)
     if no_zero_promise or s.no_zero:
         return Found(1)
@@ -228,7 +249,7 @@ def lpo(s: LazySeq, fuel: FuelLike, *, no_zero_promise: bool = False) -> OracleR
 def mu0(s: LazySeq, fuel: FuelLike) -> OracleResult:
     """Zero selector: some index with value 0, found by ascending scan."""
     b = _bound(fuel)
-    n = _first_zero(s, b)
+    n = s.first_index(0, b)
     return Found(n) if n is not None else Exhausted(b)
 
 
@@ -237,10 +258,7 @@ def mu(s: LazySeq, fuel: FuelLike) -> OracleResult:
     r = mu0(s, fuel)
     if not r.found:
         return r
-    for t in range(r.value + 1):
-        if s(t) == 0:
-            return Found(t)
-    raise AssertionError("unreachable: mu0 returned a non-zero index")
+    return Found(s.first_index(0, r.value + 1))
 
 
 def pair_index(i: int, n: int) -> int:
@@ -270,7 +288,7 @@ def parse_seq(text: str) -> UltimatelyConstantSeq:
 
     def parse_nat(tok: str, at: int) -> int:
         tok = tok.strip()
-        if not tok or not tok.isdigit():
+        if not tok or not (tok.isascii() and tok.isdigit()):
             raise ParseError(text, at, "unsigned decimal integer")
         return int(tok)
 

@@ -116,6 +116,12 @@ class TestBanachBijection:
         with pytest.raises(ValueError):
             bn.banach_bijection_nat(identity_pair(), 16, 8)
 
+    def test_spot_check_raises_on_a_bad_path(self, monkeypatch):
+        # the gadget's f1 misses 5, so clause (i) rejects the all-ones path
+        monkeypatch.setattr(bn, "_solve_leftmost", lambda p, depth: [1] * depth)
+        with pytest.raises(VerificationError, match="verbatim clauses"):
+            bn.banach_bijection_nat(bn.gadget_llpo(parse_seq("1,1,0;0")), 16)
+
     def test_garbage_pair_has_no_path(self):
         # f0 collides beyond the verified prefix: clauses become unsatisfiable
         f0 = LazySeq(lambda n: 30 if n in (20, 21) else n)

@@ -37,6 +37,12 @@ class TestExitCodes:
     def test_parse_error_is_three(self, capsys):
         assert run(["oracle", "--op", "lpo", "--seq", "zzz"]) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
+        # str.isdigit accepts the superscript, int() does not
+        assert run(["oracle", "--op", "lpo", "--seq", "\u00b2;0"]) == EXIT_PARSE
+        assert run(["range", "verify", "--f", "double", "--aux", "const:\u00b2",
+                    "--kind", "rho"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "in '\u00b2;0'" in err and "in 'const:\u00b2'" in err
 
     def test_verify_failure_is_one(self, capsys):
         code, data = run_json(capsys, ["range", "verify", "--f", "double",
@@ -174,7 +180,7 @@ class TestParseFn:
             return
         assert isinstance(out, LazySeq)
 
-    @given(st.text(alphabet="0123456789,;^/x", max_size=10))
+    @given(st.text(alphabet="0123456789\u00b2,;^/x", max_size=10))
     @settings(max_examples=60, deadline=None)
     def test_cli_never_crashes_on_malformed_seq(self, text):
         code = run(["oracle", "--op", "lpo", "--seq", text, "--fuel", "4"])

@@ -1,6 +1,7 @@
 import pytest
 
-from banachkit.errors import RefutationFailedError
+from banachkit import ranges
+from banachkit.errors import RefutationFailedError, VerificationError
 from banachkit.ranges import (
     bounding_b,
     refute_total_translator,
@@ -173,6 +174,15 @@ class TestRefuteTotalTranslator:
 
         with pytest.raises(RefutationFailedError):
             refute_total_translator(exact, pad=8)
+
+    def test_zero_within_the_bound_raises(self, monkeypatch):
+        # dropping every literal's prefix gives an f2 that vanishes at 0,
+        # inside the translator's bound, so it refutes nothing
+        real = ranges.UltimatelyConstantSeq
+        monkeypatch.setattr(ranges, "UltimatelyConstantSeq",
+                            lambda prefix, tail, name="": real((), tail, name=name))
+        with pytest.raises(VerificationError):
+            refute_total_translator(lambda f, g: UltimatelyConstantSeq((), 0), pad=8)
 
     def test_counterexample_is_valid_rho(self):
         cex = refute_total_translator(lambda f, g: UltimatelyConstantSeq((), 0), pad=8)

@@ -1,4 +1,6 @@
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from banachkit.streams import (
     pair_index,
     parse_seq,
     prefix,
+    set_default_cache_cap,
     unpair_index,
 )
 
@@ -147,6 +150,76 @@ class TestProperties:
         assert lpo(s, f) == lpo(fresh, f)
 
 
+def linear_first_index(s, value, bound, read):
+    """The plain scan first_index replaces; adds the indices it reads to read."""
+    for t in range(bound):
+        read.add(t)
+        if s(t) == value:
+            return t
+    return None
+
+
+class TestFirstIndex:
+    @pytest.mark.parametrize("cap", [None, 4])
+    @given(ult_const(), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 24)),
+                                 min_size=1, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_linear_scan_and_reads_the_same(self, cap, u, queries):
+        by_bound = sorted(queries, key=lambda q: q[1])
+        queries = [(queries[0][0], 0)] + queries + by_bound + by_bound[::-1]
+        evaluated = set()
+
+        def gen(n):
+            evaluated.add(n)
+            return u(n)
+
+        class Counted(LazySeq):
+            queries = 0
+
+            def __call__(self, n):
+                self.queries += 1
+                return super().__call__(n)
+
+        set_default_cache_cap(cap)
+        try:
+            s = Counted(gen)
+        finally:
+            set_default_cache_cap(None)
+        read = set()
+        for value, bound in queries:
+            assert s.first_index(value, bound) == linear_first_index(u, value, bound, read)
+            assert evaluated == read
+        if cap is None:
+            assert s.queries == len(read)  # no index is read twice
+
+    def test_shared_between_threads(self):
+        values = [(n * n) % 31 for n in range(400)]
+        evaluated = []
+        # sleep(0) hands the interpreter to another thread mid-scan
+        s = LazySeq(lambda n: time.sleep(0) or evaluated.append(n) or values[n])
+        queries = [(v, b) for b in (50, 400, 10, 200) for v in range(31)]
+        expected = [linear_first_index(values.__getitem__, v, b, set()) for v, b in queries]
+        out = []
+
+        def worker():
+            out.append([s.first_index(v, b) for v, b in queries])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert out == [expected] * 8
+        # the scans are serialized, so no index is evaluated twice
+        assert sorted(evaluated) == list(range(max(evaluated) + 1))
+
+
 class TestConcurrency:
     def test_shared_seq_from_threads(self):
         hits = []
@@ -174,7 +247,7 @@ class TestLiterals:
         s = parse_seq(";3")
         assert prefix(s, 3) == [3, 3, 3]
 
-    @pytest.mark.parametrize("bad", ["", "1,2", "a;b", "1,,2;0", "1;-2", "1; 2x"])
+    @pytest.mark.parametrize("bad", ["", "1,2", "a;b", "1,,2;0", "1;-2", "1; 2x", "\u00b2;0"])
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_seq(bad)
