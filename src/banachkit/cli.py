@@ -1,8 +1,9 @@
 """Command-line surface: every construction, deterministic reports.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 fuel or depth
-exhausted, 3 parse error. Reports serialize with a stable key order; two runs
-with the same argv and seed differ at most in elapsed_ms.
+exhausted, 3 parse error (a malformed literal or argument, or a level beyond
+a cap). Reports serialize with a stable key order; two runs with the same
+argv and seed differ at most in elapsed_ms.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional
 from . import banach_nat, omniscience, ranges
 from .errors import (
     BanachKitError,
+    CapExceededError,
     ExhaustionError,
     ParseError,
     VerificationError,
@@ -52,12 +54,19 @@ EXIT_PARSE = 3
 FUEL_ENV = "BANACHKIT_FUEL"
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts and bounds: ASCII digits, value >= 1."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _default_fuel() -> int:
     raw = os.environ.get(FUEL_ENV, "256")
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 256
+        return positive_int(raw)
+    except argparse.ArgumentTypeError:
+        raise ParseError(raw, 0, f"an integer >= 1 in {FUEL_ENV}") from None
 
 
 class RunReport:
@@ -363,13 +372,13 @@ def cmd_corpus(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="banachkit")
-    top.add_argument("--max-cache", type=int, default=None,
+    top.add_argument("--max-cache", type=positive_int, default=None,
                      help="cap the per-sequence memo size (default unbounded)")
 
     def common(p, fuel=True):
         p.add_argument("--format", choices=["json", "text"], default="text")
         if fuel:
-            p.add_argument("--fuel", type=int, default=_default_fuel())
+            p.add_argument("--fuel", type=positive_int, default=_default_fuel())
 
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -386,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux")
     p.add_argument("--kind", choices=["rho", "beta"], default="rho")
     p.add_argument("--dir", choices=["beta-to-rho", "rho-to-beta"], default="beta-to-rho")
-    p.add_argument("--n-max", type=int, default=32)
+    p.add_argument("--n-max", type=positive_int, default=32)
     p.add_argument("--show", type=int, default=16)
     common(p)
     p.set_defaults(fn=cmd_range)
@@ -403,16 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f1", required=True)
     p.add_argument("--b0")
     p.add_argument("--b1")
-    p.add_argument("--bounds-fuel", type=int, default=_default_fuel())
-    p.add_argument("--n-max", type=int, default=16)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--bounds-fuel", type=positive_int, default=_default_fuel())
+    p.add_argument("--n-max", type=positive_int, default=16)
+    p.add_argument("--depth", type=positive_int)
     common(p, fuel=False)
     p.set_defaults(fn=cmd_banach_nat)
 
     p = sub.add_parser("gadget", help="build the first-zero-parity gadget and report h(1)")
     p.add_argument("--g", required=True)
-    p.add_argument("--n-max", type=int, default=70)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--n-max", type=positive_int, default=70)
+    p.add_argument("--depth", type=positive_int)
     common(p, fuel=False)
     p.set_defaults(fn=cmd_gadget)
 
@@ -428,9 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", help="sequence for the preimage gadget")
     p.add_argument("--x", help="point literal (dyadic k/2^j or bit sequence)")
     p.add_argument("--y", help="target point literal")
-    p.add_argument("--level", type=int, default=8)
-    p.add_argument("--m-max", type=int, default=8)
-    p.add_argument("--max-level", type=int, default=16)
+    p.add_argument("--level", type=positive_int, default=8)
+    p.add_argument("--m-max", type=positive_int, default=8)
+    p.add_argument("--max-level", type=positive_int, default=16)
     common(p)
     p.set_defaults(fn=cmd_metric)
 
@@ -438,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--space", choices=["interval", "cantor"], default="interval")
     p.add_argument("--x")
-    p.add_argument("--level", type=int, default=6)
-    p.add_argument("--max-level", type=int, default=12)
+    p.add_argument("--level", type=positive_int, default=6)
+    p.add_argument("--max-level", type=positive_int, default=12)
     p.add_argument("--check", action="store_true")
     common(p, fuel=False)
     p.set_defaults(fn=cmd_decode)
@@ -456,15 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.max_cache is not None:
             from .streams import set_default_cache_cap
             set_default_cache_cap(args.max_cache)
         return args.fn(args)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)  # the message starts "parse error at ..."
+        return EXIT_PARSE
+    except CapExceededError as exc:
+        print(f"cap error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ExhaustionError as exc:
         print(f"exhausted: {exc}", file=sys.stderr)

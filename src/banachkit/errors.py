@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ParseError -> 3, ExhaustionError -> 2,
-VerificationError (and subclasses) -> 1.
+The CLI maps these onto exit codes: ParseError and CapExceededError -> 3,
+ExhaustionError -> 2, VerificationError (and subclasses) -> 1.
 """
 
 
@@ -17,6 +17,11 @@ class ParseError(BanachKitError):
         self.pos = pos
         self.expected = expected
         super().__init__(f"parse error at position {pos} in {text!r}: expected {expected}")
+
+
+class CapExceededError(BanachKitError, ValueError):
+    """A level or precision request beyond a space's, sweep's or
+    construction's cap: the arguments ask for more than the nets hold."""
 
 
 class ExhaustionError(BanachKitError):

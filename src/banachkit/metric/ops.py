@@ -1,6 +1,11 @@
 """Range characteristic, preimage selector, modulus search, and the
 back-and-forth Banach bijection on net-presented compact spaces.
 
+The modulus search and its validity check read one profile over the
+level-cap points per function and cap: for each closeness depth n, the
+widest image gap among net points closer than 2^-n. Each M(m) and each
+validity answer is then an integer compare against a power of two.
+
 Every 2^-k comparison is decided exactly; where a target point is known only
 through approximants, Cantor threshold tests are still exact (bits up to the
 threshold index are determined by any deep enough approximant), while
@@ -16,11 +21,12 @@ carries its own exact_range predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import (
+    CapExceededError,
     ConstructionStalledError,
     ExhaustionError,
     NoValidModulusError,
@@ -30,7 +36,6 @@ from ..streams import FuelLike, LazySeq, _bound
 from .dyadic import Dyadic
 from .spaces import (
     ApproxPoint,
-    BitStream,
     CantorPoint,
     CompactSpace,
     IntervalPoint,
@@ -110,7 +115,7 @@ def _image_matches(X: CompactSpace, F: UCFun, level: int, i: int, y: Point, m: i
 
 def _net_witness_exists(X: CompactSpace, F: UCFun, level: int, y: Point, m: int) -> bool:
     if level > X.max_level:
-        raise ValueError(f"modulus lookup {level} beyond the space cap {X.max_level}")
+        raise CapExceededError(f"modulus lookup {level} beyond the space cap {X.max_level}")
     if X.kind == "cantor" and F.solver:
         return F.find_witness(level, (), _cantor_target_bits(y, m), m) is not None
     return any(_image_matches(X, F, level, i, y, m) for i in range(X.level_count(level)))
@@ -161,7 +166,7 @@ def preimage_select(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> Point:
     def candidates(m: int, prev: Optional[Value]):
         level = pad(m)
         if level > X.max_level:
-            raise ValueError(f"padded modulus {level} beyond the space cap {X.max_level}")
+            raise CapExceededError(f"padded modulus {level} beyond the space cap {X.max_level}")
         if X.kind == "cantor" and F.solver:
             fixed = prev.bits(m) if prev is not None else ()
             for i in F.iter_witnesses(level, fixed, _cantor_target_bits(y, m), m):
@@ -182,7 +187,7 @@ def preimage_select(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> Point:
         for j in range(m + 1, m_max + 1):
             level = pad(j)
             if level > X.max_level:
-                raise ValueError(f"padded modulus {level} beyond the space cap {X.max_level}")
+                raise CapExceededError(f"padded modulus {level} beyond the space cap {X.max_level}")
             if X.kind == "cantor" and F.solver:
                 fixed = cand.bits(m + 3)
                 if F.find_witness(level, fixed, _cantor_target_bits(y, j), j) is None:
@@ -208,95 +213,96 @@ def preimage_select(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> Point:
     return ApproxPoint(compute_level, m_max)
 
 
-def _net_tables(X: CompactSpace, F: UCFun, cap: int):
-    """Integer-rescaled values and images of every net point of level <= cap.
+def _cap_images(X: CompactSpace, F: UCFun, cap: int) -> Tuple[np.ndarray, int]:
+    """Images of the level-cap net points in id order, as integers at one
+    scale 2^-s.
 
-    Interval values scale exactly to 2^-(cap+1); images to their own common
-    power of two. Cantor words pad to a fixed width so XOR finds the first
-    disagreement. Rescaling is exact, so the comparisons below stay exact.
+    The nets are nested, so these are all the net points of levels <= cap
+    (a shorter Cantor word denotes itself padded with zeros). Interval
+    images rescale exactly. Cantor images are the words of bits 0..cap+1,
+    so s = cap+1, and two words XOR below 2^(s-m) exactly when they agree on
+    bits 0..m. On both spaces an image distance below 2^-m is an integer gap
+    below 2^(s-m).
     """
-    values: List[Value] = []
-    for j in range(cap + 1):
-        values.extend(X.net_point(j, i) for i in range(X.level_count(j)))
+    ids = range(X.level_count(cap))
     if X.kind == "interval":
-        xs = np.array([v.scaled_int(cap + 1) for v in values], dtype=np.int64)
-        images = [_interval_image(F, v, cap + 2) for v in values]
-        q = max(max(f.exp for f in images), cap + 2)
-        fs = np.array([f.scaled_int(q) for f in images], dtype=np.int64)
-        return xs, fs, cap + 1, q
-    width_x, width_f = cap + 1, cap + 2
-    xs = np.array([_word_int(v, width_x) for v in values], dtype=np.int64)
-    fs = np.array([_word_int(F.image_value(v, width_f - 1), width_f) for v in values],
-                  dtype=np.int64)
-    return xs, fs, width_x, width_f
+        images = [_interval_image(F, X.net_point(cap, i), cap + 2) for i in ids]
+        s = max(cap + 2, max(f.exp for f in images))
+        return np.array([f.scaled_int(s) for f in images], dtype=np.int64), s
+    width = cap + 2
+    if F._precision_map is None and F._bit_map is not None:
+        # read word i straight off its integer, with no BitStream per point
+        bit_map = F._bit_map
+        words = []
+        for i in ids:
+            x = lambda k, i=i: (i >> (cap - k)) & 1 if k <= cap else 0
+            words.append(_word_int(bit_map(x, n) for n in range(width)))
+    else:
+        words = [_word_int(F.image_value(X.net_point(cap, i), cap + 1).bits(width))
+                 for i in ids]
+    return np.array(words, dtype=np.int64), cap + 1
 
 
-def _word_int(v: BitStream, width: int) -> int:
+def _word_int(bits: Iterable[int]) -> int:
     out = 0
-    for b in v.bits(width):
+    for b in bits:
         out = (out << 1) | b
     return out
 
 
-_CHUNK = 512
+def _profile(X: CompactSpace, F: UCFun, cap: int) -> Tuple[List[int], int]:
+    """(gap, s): gap[n], for n <= cap, is the widest image gap at scale 2^-s
+    among the net points of levels <= cap closer than 2^-n.
 
+    Interval points closer than 2^-n lie in a run of 2^(cap+1-n) consecutive
+    grid points; Cantor words closer than 2^-n share bits 0..n, a run of
+    2^(cap-n) ids aligned on its length. Each pass doubles the run and takes
+    its max and min. On Cantor space max ^ min has the leading bit of the
+    widest XOR in its run, which is all a power-of-two threshold reads.
 
-def _violating_min_dx(X, xs, fs, x_scale, f_scale, m: int) -> Optional[int]:
-    """Minimum x-distance (integer-scaled, interval) or minimum value XOR
-    (cantor) over the pairs whose images are at least 2^-(m+1) apart.
-    Returns None when no pair violates. 0 means an equal-value violation."""
-    best: Optional[int] = None
-    n = len(xs)
-    for lo in range(0, n, _CHUNK):
-        xi = xs[lo:lo + _CHUNK, None]
-        fi = fs[lo:lo + _CHUNK, None]
+    Memoized on F: the profile depends only on F, the space kind and the
+    cap, so threads racing on it can at worst compute it twice.
+    """
+    key = (X.kind, cap)
+    if key not in F._profiles:
+        fs, s = _cap_images(X, F, cap)
+        hi = lo = fs
+        gap = [0] * (cap + 1)
         if X.kind == "interval":
-            # |df| >= 2^-(m+1) at scale 2^-f_scale
-            mask = np.abs(fi - fs[None, :]) >= (1 << (f_scale - m - 1))
-            dx = np.abs(xi - xs[None, :])
+            for n in range(cap, -1, -1):
+                step = 1 << (cap - n)
+                hi = np.maximum(hi[:-step], hi[step:])
+                lo = np.minimum(lo[:-step], lo[step:])
+                gap[n] = int((hi - lo).max())
         else:
-            # image disagreement at or before index m+1 <=> prefixes differ
-            shift = f_scale - (m + 2)
-            mask = (fi >> shift) != (fs[None, :] >> shift)
-            dx = xi ^ xs[None, :]
-        if mask.any():
-            v = int(dx[mask].min())
-            best = v if best is None else min(best, v)
-    return best
+            for n in range(cap - 1, -1, -1):  # gap[cap] = 0: runs of one id
+                hi = hi.reshape(-1, 2).max(axis=1)
+                lo = lo.reshape(-1, 2).min(axis=1)
+                gap[n] = int((hi ^ lo).max())
+        F._profiles[key] = (gap, s)
+    return F._profiles[key]
 
 
 def modulus_of(X: CompactSpace, F: UCFun, level_cap: int) -> LazySeq:
     """Recompute a modulus for F, ignoring its stored one: M(m) is the least
     n <= level_cap such that every pair of net points (all levels up to the
-    cap, mixed) at distance below 2^-n has images within 2^-(m+1).
+    cap, mixed) at distance below 2^-n has images within 2^-(m+1). It is read
+    off the profile over the level-cap points, built once per F and cap.
 
     The half-step slack 2^-(m+1) in the search is what makes the result a
     genuine 2^-m modulus on the nets. Queries are capped at level_cap, since
     deeper image comparisons would be undetermined at this net resolution.
     """
     if level_cap > X.max_level:
-        raise ValueError(f"level_cap {level_cap} beyond the space cap {X.max_level}")
-    tables = _net_tables(X, F, level_cap)
+        raise CapExceededError(f"level_cap {level_cap} beyond the space cap {X.max_level}")
+    gap, s = _profile(X, F, level_cap)
 
     def value(m: int) -> int:
         if m > level_cap:
-            raise ValueError(f"modulus query {m} beyond level_cap {level_cap}")
-        xs, fs, x_scale, f_scale = tables
-        dmin = _violating_min_dx(X, xs, fs, x_scale, f_scale, m)
-        if dmin is None:
-            return 0
-        if dmin == 0:
-            raise NoValidModulusError(m, level_cap)
-        if X.kind == "interval":
-            # least n with 2^-n <= dmin / 2^x_scale
-            for n in range(level_cap + 1):
-                if (1 << (x_scale - n)) <= dmin:
-                    return n
-        else:
-            # first disagreement of the closest violating pair
-            t = x_scale - dmin.bit_length()
-            if t <= level_cap:
-                return t
+            raise CapExceededError(f"modulus query {m} beyond level_cap {level_cap}")
+        for n, g in enumerate(gap):
+            if g < 1 << (s - m - 1):
+                return n
         raise NoValidModulusError(m, level_cap)
 
     return LazySeq(value, name=f"modulus({F.name})")
@@ -304,23 +310,14 @@ def modulus_of(X: CompactSpace, F: UCFun, level_cap: int) -> LazySeq:
 
 def modulus_valid(X: CompactSpace, F: UCFun, modulus: LazySeq, m: int, level_cap: int) -> bool:
     """The final verification: over ALL net pairs up to the cap, distance
-    below 2^-modulus(m) forces image distance below 2^-m."""
-    xs, fs, x_scale, f_scale = _net_tables(X, F, level_cap)
+    below 2^-modulus(m) forces image distance below 2^-m. It is read off the
+    profile over the level-cap points; past the cap no two distinct net
+    points are that close."""
+    gap, s = _profile(X, F, level_cap)
     n = modulus(m)
-    for lo in range(0, len(xs), _CHUNK):
-        xi = xs[lo:lo + _CHUNK, None]
-        fi = fs[lo:lo + _CHUNK, None]
-        if X.kind == "interval":
-            close = np.abs(xi - xs[None, :]) < (1 << (x_scale - n))
-            bad = np.abs(fi - fs[None, :]) >= (1 << (f_scale - m))
-        else:
-            zx = xi ^ xs[None, :]
-            close = (zx >> (x_scale - n - 1)) == 0 if n < x_scale else (zx == 0)
-            zf = fi ^ fs[None, :]
-            bad = (zf >> (f_scale - m - 1)) != 0
-        if (close & bad).any():
-            return False
-    return True
+    if n < 0:
+        raise ValueError(f"modulus value {n} at {m} is negative")
+    return n > level_cap or gap[n] < 1 << (s - m)
 
 
 def apply_point(X: CompactSpace, F: UCFun, x: Point, m_max: int) -> Point:

@@ -17,6 +17,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..errors import CapExceededError
 from .dyadic import Dyadic
 
 __all__ = [
@@ -149,7 +150,7 @@ class ApproxPoint(Point):
 
     def approx(self, m: int):
         if m > self.m_max:
-            raise ValueError(f"approximant level {m} beyond construction cap {self.m_max}")
+            raise CapExceededError(f"approximant level {m} beyond construction cap {self.m_max}")
         with self._lock:
             while len(self._cache) <= m:
                 self._cache.append(self._compute(len(self._cache), self._cache))

@@ -20,7 +20,7 @@ require them, but the exact bijection values in the acceptance suite do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from ..streams import LazySeq
@@ -44,6 +44,8 @@ class UCFun:
     _value_map: Optional[Callable[[Dyadic], Dyadic]] = None
     _bit_map: Optional[Callable[[Callable[[int], int], int], int]] = None
     _precision_map: Optional[Callable[[Value, int], Value]] = None
+    # modulus profiles by (space kind, level cap); see ops.modulus_of
+    _profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def image_value(self, v: Value, out_level: int) -> Value:
         """The level-out_level representative of F(v), exactly."""

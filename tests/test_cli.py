@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,8 @@ class TestExitCodes:
 
     def test_parse_error_is_three(self, capsys):
         assert run(["oracle", "--op", "lpo", "--seq", "zzz"]) == EXIT_PARSE
-        assert "parse error" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("parse error at position 3 in 'zzz': "
+                                           "expected ';' separating prefix from constant tail\n")
         # str.isdigit accepts the superscript, int() does not
         assert run(["oracle", "--op", "lpo", "--seq", "\u00b2;0"]) == EXIT_PARSE
         assert run(["range", "verify", "--f", "double", "--aux", "const:\u00b2",
@@ -53,6 +55,41 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_parse_error(self, capsys):
         assert run(["frobnicate"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--op", "lpo", "--seq", "1;0", "--fuel", "{}"],
+        ["banach-nat", "--f0", "succ", "--f1", "succ", "--bounds-fuel", "{}"],
+        ["range", "verify", "--f", "double", "--aux", "const:1", "--n-max", "{}"],
+        ["gadget", "--g", "1;0", "--depth", "{}"],
+        ["metric", "preimage", "--y", "1/2^2", "--level", "{}"],
+        ["metric", "modulus", "--m-max", "{}"],
+        ["metric", "modulus", "--max-level", "{}"],
+        ["--max-cache", "{}", "gadget", "--g", "1;0"],
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1", "x", "\u00b2"])
+    def test_counts_must_be_positive(self, capsys, argv, value):
+        assert run([value if a == "{}" else a for a in argv]) == EXIT_PARSE
+        assert "expected an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+    def test_bad_fuel_variable_is_three(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("BANACHKIT_FUEL", raw)
+        assert run(["oracle", "--op", "lpo", "--seq", "1;0"]) == EXIT_PARSE
+        assert "BANACHKIT_FUEL" in capsys.readouterr().err
+
+    def test_fuel_variable_sets_the_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("BANACHKIT_FUEL", "8")
+        code, data = run_json(capsys, ["oracle", "--op", "lpo", "--seq", ";1"])
+        assert code == EXIT_EXHAUSTED and data["output"] == {"exhausted": 8}
+
+    @pytest.mark.parametrize("argv", [
+        ["metric", "range", "--y", "1/2^2", "--m-max", "40"],
+        ["metric", "modulus", "--m-max", "12", "--max-level", "10"],
+        ["metric", "preimage", "--y", "1/2^2", "--m-max", "4", "--level", "6"],
+    ])
+    def test_beyond_a_cap_is_three(self, capsys, argv):
+        assert run(argv) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("cap error: ")
 
 
 class TestSpecExamples:
@@ -145,6 +182,20 @@ class TestMetricCommands:
         assert code == EXIT_OK
         assert data["output"]["modulus"] == [0, 1, 2, 3, 4, 5, 6]
         assert data["output"]["valid"] is True
+
+    @pytest.mark.parametrize("space,fun,closed_form", [
+        ("interval", "halving", lambda m: m),
+        ("cantor", "padding", lambda m: (m + 1) // 2),
+    ], ids=["halving", "padding"])
+    def test_modulus_sweep_at_cap_14(self, capsys, space, fun, closed_form):
+        # 2^15 net points: an all-pairs compare would hold 512 x 65 500
+        # int64 temporaries, about 270 MB each
+        start = time.monotonic()
+        code, data = run_json(capsys, ["metric", "modulus", "--space", space, "--fun", fun,
+                                       "--m-max", "14", "--max-level", "14"])
+        assert time.monotonic() - start < 5.0
+        assert code == EXIT_OK and data["output"]["valid"] is True
+        assert data["output"]["modulus"] == [closed_form(m) for m in range(15)]
 
 
 class TestDecodeCommand:

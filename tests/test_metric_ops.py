@@ -5,27 +5,33 @@ import pytest
 from banachkit.errors import (
     ConstructionStalledError,
     ExhaustionError,
+    NoValidModulusError,
     RangeInconsistencyError,
 )
 from banachkit.metric import (
     BitStream,
     CantorPoint,
+    CodeEntry,
     Dyadic,
     IntervalPoint,
     banach_H,
+    cantor_space,
     constant_fun,
+    decode_code,
     halving_gadget,
     identity_fun,
     modulus_of,
     modulus_valid,
     padding_gadget,
+    preimage_gadget,
     preimage_select,
     range_char,
     sigma_seq,
+    unit_interval,
 )
 from banachkit.corpora import halving_chain_law
-from banachkit.metric.ucfun import interval_fun
-from banachkit.streams import Fuel, LazySeq
+from banachkit.metric.ucfun import cantor_fun, interval_fun
+from banachkit.streams import Fuel, LazySeq, parse_seq
 
 HALF = Dyadic(1, 1)
 QUARTER = Dyadic(1, 2)
@@ -132,23 +138,31 @@ class TestPreimageSelect:
             preimage_select(X, const, IntervalPoint(Dyadic(3, 2)), 6).approx(6)
 
 
-def brute_modulus(X, F, cap, m):
-    """Independent oracle: scan all net pairs up to cap with pure dyadic
-    arithmetic for the least workable modulus value."""
+def brute_pairs(X, F, cap):
+    """Independent oracle: the distinct (d(u, v), d(F(u), F(v))) over all
+    pairs of net points up to cap, levels mixed, in pure dyadic arithmetic.
+    Images are taken as the library takes them: exact for value maps, at
+    precision cap+4 for precision-indexed (decoded) interval maps, and bits
+    0..cap+1 on Cantor space."""
     points = [X.net_point(j, i) for j in range(cap + 1) for i in range(X.level_count(j))]
-    if X.kind == "interval":
+    if X.kind == "cantor":
+        images = [F.image_value(v, cap + 1) for v in points]
+    elif F._value_map is not None:
         images = [F.raw_image(v) for v in points]
     else:
-        images = [F.image_value(v, cap + 1) for v in points]
-    for n in range(cap + 1):
-        ok = True
-        for (u, fu), (v, fv) in itertools.combinations(zip(points, images), 2):
-            if X.dist_lt_pow2(u, v, n) and not X.dist_lt_pow2(fu, fv, m + 1):
-                ok = False
-                break
-        if ok:
-            return n
-    return None
+        images = [F.precision_image(v, cap + 4) for v in points]
+    return {(X.dist(u, v), X.dist(fu, fv))
+            for (u, fu), (v, fv) in itertools.combinations(zip(points, images), 2)}
+
+
+def brute_valid(pairs, m, n):
+    """Every pair closer than 2^-n has images closer than 2^-m."""
+    return all(not dx < Dyadic.pow2(-n) or df < Dyadic.pow2(-m) for dx, df in pairs)
+
+
+def brute_modulus(pairs, cap, m):
+    """The least workable modulus value n <= cap at m, or None."""
+    return next((n for n in range(cap + 1) if brute_valid(pairs, m + 1, n)), None)
 
 
 class TestModulus:
@@ -178,8 +192,9 @@ class TestModulus:
     def test_matches_pure_python_brute_force(self, space_kind, halving, padding):
         X, F, _ = halving if space_kind == "interval" else padding
         M = modulus_of(X, F, 5)
+        pairs = brute_pairs(X, F, 5)
         for m in range(6):
-            assert M(m) == brute_modulus(X, F, 5, m)
+            assert M(m) == brute_modulus(pairs, 5, m)
 
     def test_validity_invariant(self, halving):
         X, F, _ = halving
@@ -207,6 +222,75 @@ class TestModulus:
                             LazySeq(lambda k: k), name="step")
         with pytest.raises(NoValidModulusError):
             modulus_of(X, step, 6)(3)
+
+
+def _step_code():
+    """A decoded step: 0 below 5/8, then 1/8, at every precision."""
+    return [CodeEntry(0, (0, 0), Dyadic(5, 3), (2, 0), Dyadic.pow2(-40)),
+            CodeEntry(0, (0, 2), Dyadic(5, 3), (2, 1), Dyadic.pow2(-40))]
+
+
+PROFILE_FUNS = {
+    "halving": lambda: halving_gadget(6)[0],
+    "interval-identity": lambda: identity_fun(unit_interval(6)),
+    "constant": lambda: constant_fun(unit_interval(6), HALF),
+    "step": lambda: interval_fun(unit_interval(6),
+                                 lambda v: Dyadic(1) if HALF < v else Dyadic(0),
+                                 LazySeq(lambda k: k), name="step"),
+    "square": lambda: interval_fun(unit_interval(6), lambda v: v * v,
+                                   LazySeq(lambda k: k), name="square"),
+    "padding": lambda: padding_gadget(6)[0],
+    "cantor-identity": lambda: identity_fun(cantor_space(6)),
+    "preimage-gadget": lambda: preimage_gadget(parse_seq("1,1,0;1"), max_level=6),
+    "decoded-step": lambda: decode_code(_step_code(), unit_interval(6)),
+}
+
+
+class TestModulusProfile:
+    """The profile over the level-cap points against the all-pairs scan."""
+
+    @pytest.mark.parametrize("cap", range(1, 7))
+    @pytest.mark.parametrize("name", sorted(PROFILE_FUNS))
+    def test_matches_all_pairs(self, name, cap):
+        F = PROFILE_FUNS[name]()
+        X = F.space
+        pairs = brute_pairs(X, F, cap)
+        M = modulus_of(X, F, cap)
+        for m in range(cap + 1):
+            want = brute_modulus(pairs, cap, m)
+            if want is None:
+                with pytest.raises(NoValidModulusError):
+                    M(m)
+            else:
+                assert M(m) == want, (m, want)
+            for n in range(cap + 2):
+                const = LazySeq(lambda k, n=n: n)
+                assert modulus_valid(X, F, const, m, cap) == brute_valid(pairs, m, n), (m, n)
+
+    def test_profile_built_once_per_sweep(self):
+        # a CLI sweep, M(0..cap) and the validity of each, takes the images
+        # of the level-cap points once
+        cap = 6
+        calls = []
+
+        def halve(v):
+            calls.append(v)
+            return v.half()
+
+        def pad_bit(x, n):
+            calls.append(n)
+            return x(n // 2) if n % 2 == 0 else 0
+
+        X, C = unit_interval(cap), cantor_space(cap)
+        F = interval_fun(X, halve, LazySeq(lambda k: k))
+        G = cantor_fun(C, pad_bit, LazySeq(lambda k: k))
+        for Y, H, images in ((X, F, X.level_count(cap)),
+                             (C, G, C.level_count(cap) * (cap + 2))):
+            calls.clear()
+            M = modulus_of(Y, H, cap)
+            [M(m) for m in range(cap + 1)]
+            assert all(modulus_valid(Y, H, M, m, cap) for m in range(cap + 1))
+            assert len(calls) == images
 
 
 class TestBanachHInterval:
