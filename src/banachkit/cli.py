@@ -61,8 +61,19 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
-def _default_fuel() -> int:
-    raw = os.environ.get(FUEL_ENV, "256")
+def level_int(text: str) -> int:
+    """argparse type for net levels: ASCII digits, value >= 0."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _fuel_bound(flag: Optional[int]) -> int:
+    """The flag's value, else BANACHKIT_FUEL, else 256 (an empty variable
+    counts as unset). Read only by the commands that spend fuel."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(FUEL_ENV) or "256"
     try:
         return positive_int(raw)
     except argparse.ArgumentTypeError:
@@ -151,7 +162,7 @@ def _apply_promise(s: LazySeq, promise: Optional[str]) -> LazySeq:
 def cmd_oracle(args) -> int:
     report = RunReport("oracle." + args.op, {"seq": args.seq, "promise": args.promise})
     s = _apply_promise(parse_seq(args.seq), args.promise)
-    fuel = Fuel(args.fuel)
+    fuel = Fuel(_fuel_bound(args.fuel))
     report.bounds["fuel"] = fuel.bound
     ops = {"lpo": lpo, "mu0": mu0, "mu": mu, "llpomin": omniscience.llpomin}
     result = ops[args.op](s, fuel)
@@ -161,7 +172,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_range(args) -> int:
-    fuel = Fuel(args.fuel)
+    fuel = Fuel(_fuel_bound(args.fuel))
     f = parse_fn(args.f)
     if args.action == "verify":
         report = RunReport("range.verify", {"f": args.f, "aux": args.aux, "kind": args.kind})
@@ -208,7 +219,7 @@ _PIPELINES = {
 def cmd_reduce(args) -> int:
     report = RunReport("reduce." + args.pipeline, {"seq": args.seq, "promise": args.promise})
     s = _apply_promise(parse_seq(args.seq), args.promise)
-    fuel = Fuel(args.fuel)
+    fuel = Fuel(_fuel_bound(args.fuel))
     report.bounds["fuel"] = fuel.bound
     if args.pipeline == "grilliot":
         result = omniscience.grilliot_lpo(omniscience.llpomin_realizer(), s, fuel)
@@ -223,7 +234,7 @@ def _pair_from_args(args) -> banach_nat.BoundedInjPair:
     f0, f1 = parse_fn(args.f0), parse_fn(args.f1)
     if args.b0 and args.b1:
         return banach_nat.BoundedInjPair(f0, f1, parse_fn(args.b0), parse_fn(args.b1))
-    return banach_nat.unbounded_pair(f0, f1, Fuel(args.bounds_fuel))
+    return banach_nat.unbounded_pair(f0, f1, Fuel(_fuel_bound(args.bounds_fuel)))
 
 
 def cmd_banach_nat(args) -> int:
@@ -322,8 +333,9 @@ def cmd_metric(args) -> int:
         return EXIT_OK if valid else EXIT_VERIFY
     report = RunReport("metric.banach-h", {"space": args.space, "pair": args.fun, "x": args.x})
     report.bounds["level"] = args.level
-    report.bounds["fuel"] = args.fuel
-    res = banach_H(space, F, G, _parse_point(space, args.x), args.level, Fuel(args.fuel))
+    fuel = Fuel(_fuel_bound(args.fuel))
+    report.bounds["fuel"] = fuel.bound
+    res = banach_H(space, F, G, _parse_point(space, args.x), args.level, fuel)
     report.output = res.to_json()
     report.emit(fmt)
     return EXIT_OK
@@ -378,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, fuel=True):
         p.add_argument("--format", choices=["json", "text"], default="text")
         if fuel:
-            p.add_argument("--fuel", type=positive_int, default=_default_fuel())
+            p.add_argument("--fuel", type=positive_int)
 
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -412,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f1", required=True)
     p.add_argument("--b0")
     p.add_argument("--b1")
-    p.add_argument("--bounds-fuel", type=positive_int, default=_default_fuel())
+    p.add_argument("--bounds-fuel", type=positive_int)
     p.add_argument("--n-max", type=positive_int, default=16)
     p.add_argument("--depth", type=positive_int)
     common(p, fuel=False)
@@ -437,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", help="sequence for the preimage gadget")
     p.add_argument("--x", help="point literal (dyadic k/2^j or bit sequence)")
     p.add_argument("--y", help="target point literal")
-    p.add_argument("--level", type=positive_int, default=8)
-    p.add_argument("--m-max", type=positive_int, default=8)
+    p.add_argument("--level", type=level_int, default=8)
+    p.add_argument("--m-max", type=level_int, default=8)
     p.add_argument("--max-level", type=positive_int, default=16)
     common(p)
     p.set_defaults(fn=cmd_metric)
@@ -447,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--space", choices=["interval", "cantor"], default="interval")
     p.add_argument("--x")
-    p.add_argument("--level", type=positive_int, default=6)
+    p.add_argument("--level", type=level_int, default=6)
     p.add_argument("--max-level", type=positive_int, default=12)
     p.add_argument("--check", action="store_true")
     common(p, fuel=False)

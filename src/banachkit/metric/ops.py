@@ -229,17 +229,8 @@ def _cap_images(X: CompactSpace, F: UCFun, cap: int) -> Tuple[np.ndarray, int]:
         images = [_interval_image(F, X.net_point(cap, i), cap + 2) for i in ids]
         s = max(cap + 2, max(f.exp for f in images))
         return np.array([f.scaled_int(s) for f in images], dtype=np.int64), s
-    width = cap + 2
-    if F._precision_map is None and F._bit_map is not None:
-        # read word i straight off its integer, with no BitStream per point
-        bit_map = F._bit_map
-        words = []
-        for i in ids:
-            x = lambda k, i=i: (i >> (cap - k)) & 1 if k <= cap else 0
-            words.append(_word_int(bit_map(x, n) for n in range(width)))
-    else:
-        words = [_word_int(F.image_value(X.net_point(cap, i), cap + 1).bits(width))
-                 for i in ids]
+    words = [_word_int(F.image_value(X.net_point(cap, i), cap + 1).bits(cap + 2))
+             for i in ids]
     return np.array(words, dtype=np.int64), cap + 1
 
 

@@ -61,9 +61,8 @@ class TestExitCodes:
         ["banach-nat", "--f0", "succ", "--f1", "succ", "--bounds-fuel", "{}"],
         ["range", "verify", "--f", "double", "--aux", "const:1", "--n-max", "{}"],
         ["gadget", "--g", "1;0", "--depth", "{}"],
-        ["metric", "preimage", "--y", "1/2^2", "--level", "{}"],
-        ["metric", "modulus", "--m-max", "{}"],
         ["metric", "modulus", "--max-level", "{}"],
+        ["decode", "--code", "c.json", "--max-level", "{}"],
         ["--max-cache", "{}", "gadget", "--g", "1;0"],
     ])
     @pytest.mark.parametrize("value", ["0", "-1", "x", "\u00b2"])
@@ -71,16 +70,43 @@ class TestExitCodes:
         assert run([value if a == "{}" else a for a in argv]) == EXIT_PARSE
         assert "expected an integer >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+    @pytest.mark.parametrize("argv", [
+        ["metric", "preimage", "--y", "1/2^2", "--level", "{}"],
+        ["metric", "modulus", "--m-max", "{}"],
+        ["decode", "--code", "c.json", "--level", "{}"],
+    ])
+    @pytest.mark.parametrize("value", ["-1", "x", "\u00b2"])
+    def test_levels_must_be_non_negative(self, capsys, argv, value):
+        assert run([value if a == "{}" else a for a in argv]) == EXIT_PARSE
+        assert "expected an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("space, fun", [("interval", "halving"), ("cantor", "padding")])
+    def test_level_zero_is_a_net_level(self, capsys, space, fun):
+        # the spaces themselves need max_level >= 1
+        code, data = run_json(capsys, ["metric", "modulus", "--space", space, "--fun", fun,
+                                       "--m-max", "0", "--max-level", "1"])
+        assert code == EXIT_OK and data["output"] == {"modulus": [0], "valid": True}
+        code, data = run_json(capsys, ["metric", "banach-h", "--space", space, "--pair", fun,
+                                       "--x", "1/2^1" if space == "interval" else "1;0",
+                                       "--level", "0"])
+        assert code == EXIT_OK and data["output"]["out_level"] == 0
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
     def test_bad_fuel_variable_is_three(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("BANACHKIT_FUEL", raw)
         assert run(["oracle", "--op", "lpo", "--seq", "1;0"]) == EXIT_PARSE
         assert "BANACHKIT_FUEL" in capsys.readouterr().err
+        # the flag overrides the variable, and commands without fuel never read it
+        assert run(["oracle", "--op", "lpo", "--seq", "1;0", "--fuel", "4"]) == EXIT_OK
+        assert run(["diagram", "--width", "4"]) == EXIT_OK
+        assert run(["metric", "modulus", "--m-max", "2", "--max-level", "2"]) == EXIT_OK
 
-    def test_fuel_variable_sets_the_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("BANACHKIT_FUEL", "8")
+    @pytest.mark.parametrize("raw, bound", [("8", 8), ("", 256)])
+    def test_fuel_variable_sets_the_default(self, capsys, monkeypatch, raw, bound):
+        # an empty variable counts as unset
+        monkeypatch.setenv("BANACHKIT_FUEL", raw)
         code, data = run_json(capsys, ["oracle", "--op", "lpo", "--seq", ";1"])
-        assert code == EXIT_EXHAUSTED and data["output"] == {"exhausted": 8}
+        assert code == EXIT_EXHAUSTED and data["output"] == {"exhausted": bound}
 
     @pytest.mark.parametrize("argv", [
         ["metric", "range", "--y", "1/2^2", "--m-max", "40"],

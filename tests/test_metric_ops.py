@@ -230,6 +230,13 @@ def _step_code():
             CodeEntry(0, (0, 2), Dyadic(5, 3), (2, 1), Dyadic.pow2(-40))]
 
 
+def _cantor_two_bit_code():
+    """A decoded Cantor map read off bits 0..1: the balls of radius 1/2
+    around the four two-bit words, sent to the three-bit words 5, 0, 7, 2."""
+    return [CodeEntry(0, (1, i), Dyadic(1, 1), (2, b), Dyadic.pow2(-40))
+            for i, b in enumerate((5, 0, 7, 2))]
+
+
 PROFILE_FUNS = {
     "halving": lambda: halving_gadget(6)[0],
     "interval-identity": lambda: identity_fun(unit_interval(6)),
@@ -243,6 +250,7 @@ PROFILE_FUNS = {
     "cantor-identity": lambda: identity_fun(cantor_space(6)),
     "preimage-gadget": lambda: preimage_gadget(parse_seq("1,1,0;1"), max_level=6),
     "decoded-step": lambda: decode_code(_step_code(), unit_interval(6)),
+    "decoded-cantor": lambda: decode_code(_cantor_two_bit_code(), cantor_space(6)),
 }
 
 
