@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
 from .errors import IllDefinedError, NoPathError, VerificationError
-from .ranges import bounding_b
 from .streams import FuelLike, LazySeq, _bound
 
 __all__ = [
@@ -337,15 +336,17 @@ def gadget_llpo(g: LazySeq, verified_prefix: int = 8) -> BoundedInjPair:
 
 def unbounded_pair(f0: LazySeq, f1: LazySeq, fuel: FuelLike,
                    verified_prefix: int = 8) -> BoundedInjPair:
-    """Bounded pair for bare injections, with bounds from the bounding
-    functional. Exhausted indices bound to 0, which is correct exactly when
-    the index is genuinely outside the range; the caller owns that premise."""
-    return BoundedInjPair(
-        f0=f0, f1=f1,
-        b0=bounding_b(f0, fuel).to_lazyseq(default=0),
-        b1=bounding_b(f1, fuel).to_lazyseq(default=0),
-        verified_prefix=verified_prefix,
-    )
+    """Bounded pair for bare injections: n is bounded by its least witness
+    below the fuel bound. An index with no witness there bounds to 0, which is
+    correct exactly when the index is genuinely outside the range; the caller
+    owns that premise."""
+    b = _bound(fuel)
+
+    def bounds(f: LazySeq) -> LazySeq:
+        return LazySeq(lambda n: f.first_index(n, b) or 0, name="bounding-b")
+
+    return BoundedInjPair(f0=f0, f1=f1, b0=bounds(f0), b1=bounds(f1),
+                          verified_prefix=verified_prefix)
 
 
 @dataclass

@@ -44,7 +44,16 @@ from .metric import (
     range_char,
     unit_interval,
 )
-from .streams import Fuel, LazySeq, OracleResult, lpo, mu, mu0, parse_seq
+from .streams import (
+    Fuel,
+    LazySeq,
+    OracleResult,
+    lpo,
+    mu,
+    mu0,
+    parse_seq,
+    set_default_cache_cap,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -54,18 +63,17 @@ EXIT_PARSE = 3
 FUEL_ENV = "BANACHKIT_FUEL"
 
 
-def positive_int(text: str) -> int:
-    """argparse type for counts and bounds: ASCII digits, value >= 1."""
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def int_at_least(low: int):
+    """argparse type for integers written in ASCII digits, value >= low."""
+    def parse(text: str) -> int:
+        if not (text.isascii() and text.isdigit()) or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
-def level_int(text: str) -> int:
-    """argparse type for net levels: ASCII digits, value >= 0."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+positive_int = int_at_least(1)  # counts and bounds
+level_int = int_at_least(0)  # net levels
 
 
 def _fuel_bound(flag: Optional[int]) -> int:
@@ -116,6 +124,13 @@ class RunReport:
             for v in data["violations"]:
                 print(f"violation: {json.dumps(v)}")
         print(f"elapsed_ms: {data['elapsed_ms']}")
+
+
+def _need(value: Optional[str], flag: str, expected: str) -> str:
+    """A literal flag's text; a missing one is a parse error naming the flag."""
+    if value is None:
+        raise ParseError("", 0, f"{flag} {expected}")
+    return value
 
 
 def _oracle_json(r: OracleResult):
@@ -178,7 +193,8 @@ def cmd_range(args) -> int:
         report = RunReport("range.verify", {"f": args.f, "aux": args.aux, "kind": args.kind})
         report.bounds["fuel"] = fuel.bound
         report.bounds["n_max"] = args.n_max
-        out = ranges.verify_range_aux(f, parse_fn(args.aux), args.kind, args.n_max, fuel)
+        aux = parse_fn(_need(args.aux, "--aux", "auxiliary function"))
+        out = ranges.verify_range_aux(f, aux, args.kind, args.n_max, fuel)
         report.output = "pass" if out.ok else "fail"
         report.violations = out.to_json()["violations"]
         report.emit(args.format)
@@ -186,7 +202,7 @@ def cmd_range(args) -> int:
     if args.action == "translate":
         report = RunReport("range.translate", {"f": args.f, "aux": args.aux, "dir": args.dir})
         report.bounds["fuel"] = fuel.bound
-        aux = parse_fn(args.aux)
+        aux = parse_fn(_need(args.aux, "--aux", "auxiliary function"))
         exhausted = False
         if args.dir == "beta-to-rho":
             chi = ranges.t_beta_to_rho(f, aux)
@@ -237,10 +253,19 @@ def _pair_from_args(args) -> banach_nat.BoundedInjPair:
     return banach_nat.unbounded_pair(f0, f1, Fuel(_fuel_bound(args.bounds_fuel)))
 
 
+def _depth(args) -> int:
+    """--depth, by default 4 * --n-max; it may not be below --n-max."""
+    if args.depth is None:
+        return 4 * args.n_max
+    if args.depth < args.n_max:
+        raise ParseError(str(args.depth), 0, f"--depth of at least --n-max {args.n_max}")
+    return args.depth
+
+
 def cmd_banach_nat(args) -> int:
     report = RunReport("banach-nat", {"f0": args.f0, "f1": args.f1})
     pair = _pair_from_args(args)
-    depth = args.depth or 4 * args.n_max
+    depth = _depth(args)
     report.bounds["n_max"] = args.n_max
     report.bounds["depth"] = depth
     h = banach_nat.banach_bijection_nat(pair, args.n_max, depth)
@@ -255,7 +280,7 @@ def cmd_gadget(args) -> int:
     report = RunReport("gadget", {"g": args.g})
     g = parse_seq(args.g)
     pair = banach_nat.gadget_llpo(g)
-    depth = args.depth or 4 * args.n_max
+    depth = _depth(args)
     report.bounds["n_max"] = args.n_max
     report.bounds["depth"] = depth
     h = banach_nat.banach_bijection_nat(pair, args.n_max, depth)
@@ -291,14 +316,14 @@ def _metric_space_and_fun(args):
         F = identity_fun(space)
         return space, F, F
     if args.fun == "preimage-gadget":
-        if not args.w:
-            raise ParseError("", 0, "--w sequence for the preimage gadget")
-        F = preimage_gadget(parse_seq(args.w), max_level=args.max_level)
+        w = _need(args.w, "--w", "sequence for the preimage gadget")
+        F = preimage_gadget(parse_seq(w), max_level=args.max_level)
         return F.space, F, F
     raise ParseError(args.fun, 0, "padding|identity|preimage-gadget")
 
 
-def _parse_point(space, text: str):
+def _parse_point(space, text: Optional[str], flag: str):
+    text = _need(text, flag, "point literal")
     if space.kind == "interval":
         return IntervalPoint(parse_dyadic(text))
     return parse_cantor_point(text)
@@ -310,7 +335,7 @@ def cmd_metric(args) -> int:
     if args.action == "range":
         report = RunReport("metric.range", {"space": args.space, "fun": args.fun, "y": args.y})
         report.bounds["m_max"] = args.m_max
-        ans = range_char(space, F, _parse_point(space, args.y), args.m_max)
+        ans = range_char(space, F, _parse_point(space, args.y, "--y"), args.m_max)
         report.output = ans.to_json()
         report.emit(fmt)
         return EXIT_OK
@@ -318,7 +343,7 @@ def cmd_metric(args) -> int:
         report = RunReport("metric.preimage", {"space": args.space, "fun": args.fun, "y": args.y})
         report.bounds["m_max"] = args.m_max
         report.bounds["level"] = args.level
-        p = preimage_select(space, F, _parse_point(space, args.y), args.m_max)
+        p = preimage_select(space, F, _parse_point(space, args.y, "--y"), args.m_max)
         report.output = {"approx": str(p.approx(args.level))}
         report.emit(fmt)
         return EXIT_OK
@@ -335,7 +360,7 @@ def cmd_metric(args) -> int:
     report.bounds["level"] = args.level
     fuel = Fuel(_fuel_bound(args.fuel))
     report.bounds["fuel"] = fuel.bound
-    res = banach_H(space, F, G, _parse_point(space, args.x), args.level, fuel)
+    res = banach_H(space, F, G, _parse_point(space, args.x, "--x"), args.level, fuel)
     report.output = res.to_json()
     report.emit(fmt)
     return EXIT_OK
@@ -347,7 +372,7 @@ def _load_code(path: str):
             raw = json.load(fh)
         return [CodeEntry(e["n"], tuple(e["a"]), parse_dyadic(e["r"]),
                           tuple(e["b"]), parse_dyadic(e["s"])) for e in raw]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ParseError(path, 0, f"readable JSON quintuple list ({exc})") from exc
 
 
@@ -355,14 +380,17 @@ def cmd_decode(args) -> int:
     space = unit_interval(args.max_level) if args.space == "interval" \
         else cantor_space(args.max_level)
     entries = _load_code(args.code)
-    fn = decode_code(entries, space)
+    try:
+        fn = decode_code(entries, space)
+    except ValueError as exc:  # a ball or value off the nets
+        raise ParseError(args.code, 0, f"a code on the {args.space} nets ({exc})") from exc
     report = RunReport("decode", {"code": args.code, "space": args.space})
     if args.check:
         bad = check_code(fn, entries, space)
         report.output = {"check": "pass" if not bad else "fail", "bad_entries": bad}
         report.emit(args.format)
         return EXIT_OK if not bad else EXIT_VERIFY
-    x = _parse_point(space, args.x)
+    x = _parse_point(space, args.x, "--x")
     value = fn.precision_image(x.value if space.kind == "interval" else x.stream, args.level)
     report.bounds["level"] = args.level
     report.output = {"value": str(value)}
@@ -408,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["rho", "beta"], default="rho")
     p.add_argument("--dir", choices=["beta-to-rho", "rho-to-beta"], default="beta-to-rho")
     p.add_argument("--n-max", type=positive_int, default=32)
-    p.add_argument("--show", type=int, default=16)
+    p.add_argument("--show", type=positive_int, default=16)
     common(p)
     p.set_defaults(fn=cmd_range)
 
@@ -432,14 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gadget", help="build the first-zero-parity gadget and report h(1)")
     p.add_argument("--g", required=True)
-    p.add_argument("--n-max", type=positive_int, default=70)
+    p.add_argument("--n-max", type=int_at_least(2), default=70)  # h(1) needs 1 in the domain
     p.add_argument("--depth", type=positive_int)
     common(p, fuel=False)
     p.set_defaults(fn=cmd_gadget)
 
     p = sub.add_parser("diagram", help="two-row arrow diagram of a pair")
     p.add_argument("--g")
-    p.add_argument("--width", type=int, default=10)
+    p.add_argument("--width", type=int_at_least(4), default=10)
     p.set_defaults(fn=cmd_diagram)
 
     p = sub.add_parser("metric", help="range / preimage / modulus / banach-h on nets")
@@ -469,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["reductions", "translators", "banach-nat",
                                        "metric", "all"], default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--cases", type=positive_int, default=50)
     common(p, fuel=False)
     p.set_defaults(fn=cmd_corpus)
 
@@ -479,10 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.max_cache is not None:
-            from .streams import set_default_cache_cap
-            set_default_cache_cap(args.max_cache)
-        return args.fn(args)
+        if args.max_cache is None:
+            return args.fn(args)
+        previous_cap = set_default_cache_cap(args.max_cache)
+        try:
+            return args.fn(args)
+        finally:
+            set_default_cache_cap(previous_cap)
     except ParseError as exc:
         print(exc, file=sys.stderr)  # the message starts "parse error at ..."
         return EXIT_PARSE

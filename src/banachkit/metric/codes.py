@@ -106,13 +106,9 @@ def decode_code(entries: Sequence[CodeEntry], X: CompactSpace,
 
     fn = UCFun(space=X, modulus=None, name="decoded", _precision_map=at_precision)  # type: ignore[arg-type]
 
-    memo: dict = {}
-
     def modulus_at(m: int) -> int:
-        if "M" not in memo:
-            from .ops import modulus_of
-            memo["M"] = modulus_of(X, fn, X.max_level)
-        return memo["M"](m)
+        from .ops import modulus_of  # the profile is memoized on fn
+        return modulus_of(X, fn, X.max_level)(m)
 
     fn.modulus = LazySeq(modulus_at, name="decoded-modulus")
     return fn

@@ -53,7 +53,8 @@ class UCFun:
             return self.space.round_value(self._precision_map(v, out_level), out_level)
         if self._value_map is not None:
             return self.space.round_value(self._value_map(v), out_level)
-        assert self._bit_map is not None
+        if self._bit_map is None:
+            raise TypeError(f"{self.name} is not a Cantor bit map")
         bits = _stream_bits(v)
         return BitStream.word(tuple(self._bit_map(bits, n) for n in range(out_level + 1)))
 
@@ -74,7 +75,8 @@ class UCFun:
 
     def image_agrees(self, v: Value, y_bits: Callable[[int], int], through: int) -> bool:
         """d(F(v), y) < 2^-through on Cantor, decided from bits 0..through."""
-        assert self._bit_map is not None
+        if self._bit_map is None:
+            raise TypeError(f"{self.name} is not a Cantor bit map")
         bits = _stream_bits(v)
         return all(self._bit_map(bits, n) == y_bits(n) for n in range(through + 1))
 
@@ -93,7 +95,8 @@ class UCFun:
     def iter_witnesses(self, level: int, fixed_prefix: Sequence[int],
                        y_bits: Callable[[int], int], through: int) -> Iterator[int]:
         """All witnesses as in find_witness, ascending (lexicographic) ids."""
-        assert self._bit_map is not None
+        if self._bit_map is None:
+            raise TypeError(f"{self.name} is not a Cantor bit map")
         L = level + 1
         bit_map = self._bit_map
         fixed = tuple(fixed_prefix)

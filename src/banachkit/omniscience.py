@@ -154,12 +154,7 @@ def phi_map(s: LazySeq, scan_bound: Optional[int] = None) -> LazySeq:
 def llpo_from_llpomin(R: Realizer) -> Realizer:
     """Lift a first-zero-parity realizer to the all-on-a-parity problem:
     w . R . h. Output k asserts s(2n+k) = 0 for all n, under the promise."""
-
-    def apply(s: LazySeq, fuel: FuelLike) -> OracleResult:
-        r = R(h_map(s), fuel)
-        return Found(_w(r.value)) if r.found else r
-
-    return Realizer(apply, f"LLPO<-[{R.name}]")
+    return compose_reduction(reduction_llpo_to_llpomin, R)
 
 
 def llpomin_from_llpo(S: Realizer) -> Realizer:
@@ -171,12 +166,7 @@ def llpomin_from_llpo(S: Realizer) -> Realizer:
     on which that image vanishes, which is the complement of the position's
     parity, and w flips it back.
     """
-
-    def apply(s: LazySeq, fuel: FuelLike) -> OracleResult:
-        r = S(h_map(j_map(s)), fuel)
-        return Found(_w(r.value)) if r.found else r
-
-    return Realizer(apply, f"LLPOmin<-[{S.name}]")
+    return compose_reduction(reduction_llpomin_to_llpo, S)
 
 
 def llpomin_from_lpo(L: Realizer) -> Realizer:
@@ -196,9 +186,7 @@ def llpomin_from_lpo(L: Realizer) -> Realizer:
 def llpo_from_lpo(L: Realizer) -> Realizer:
     """The all-on-a-parity realizer built from a zero detector, via the
     first-zero-parity core."""
-    inner = llpomin_from_lpo(L)
-    lifted = llpo_from_llpomin(inner)
-    return Realizer(lifted.apply, f"LLPO<-LPO[{L.name}]")
+    return llpo_from_llpomin(llpomin_from_lpo(L))
 
 
 def compose_reduction(red: Reduction, R_Q: Realizer) -> Realizer:

@@ -15,7 +15,6 @@ the continuity obstruction facing any total translator in that direction.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, Literal, Tuple
 
@@ -35,7 +34,6 @@ from .streams import (
 __all__ = [
     "RangeAuxReport",
     "TranslatorCounterexample",
-    "OracleSeq",
     "verify_range_aux",
     "t_beta_to_rho",
     "t_rho_to_beta",
@@ -82,35 +80,6 @@ class TranslatorCounterexample:
     failure_index: int
 
 
-class OracleSeq:
-    """Memoized map index -> OracleResult, the honest analogue of a LazySeq
-    whose entries each cost a bounded search."""
-
-    def __init__(self, compute: Callable[[int], OracleResult], name: str = ""):
-        self._compute = compute
-        self._cache: dict[int, OracleResult] = {}
-        self._lock = threading.Lock()
-        self.name = name
-
-    def __call__(self, n: int) -> OracleResult:
-        with self._lock:
-            hit = self._cache.get(n)
-        if hit is not None:
-            return hit
-        value = self._compute(n)
-        with self._lock:
-            return self._cache.setdefault(n, value)
-
-    def to_lazyseq(self, default: int = 0) -> LazySeq:
-        """Project Found values, filling Exhausted slots with `default`.
-
-        Sound as a bounding function wherever Exhausted indices are genuinely
-        outside the range (any bound is correct for a non-member).
-        """
-        return LazySeq(lambda n: self(n).value if self(n).found else default,
-                       name=self.name or "oracle-seq")
-
-
 def verify_range_aux(f: LazySeq, aux: LazySeq, kind: Literal["rho", "beta"],
                      n_max: int, fuel: FuelLike) -> RangeAuxReport:
     """Check the claimed predicate on indices n <= n_max.
@@ -145,7 +114,8 @@ def t_beta_to_rho(f: LazySeq, b: LazySeq) -> LazySeq:
                    name="t_beta_to_rho")
 
 
-def t_rho_to_beta(f: LazySeq, chi: LazySeq, fuel: FuelLike) -> OracleSeq:
+def t_rho_to_beta(f: LazySeq, chi: LazySeq,
+                  fuel: FuelLike) -> Callable[[int], OracleResult]:
     """Per-index bounding values for a claimed characteristic function.
 
     Index n maps to Found(0) when chi denies membership, to the least witness
@@ -161,7 +131,7 @@ def t_rho_to_beta(f: LazySeq, chi: LazySeq, fuel: FuelLike) -> OracleSeq:
         t = f.first_index(n, b)
         return Found(t) if t is not None else Exhausted(b)
 
-    return OracleSeq(compute, name="t_rho_to_beta")
+    return compute
 
 
 def translate_family(f: LazySeq, aux: LazySeq, direction: Literal["beta->rho", "rho->beta"],
@@ -169,8 +139,8 @@ def translate_family(f: LazySeq, aux: LazySeq, direction: Literal["beta->rho", "
     """Uniform-in-i translation of a pairing-encoded family.
 
     Members are f_i(n) = f(<i,n>) and aux_i(n) = aux(<i,n>). The result is a
-    single sequence in the same encoding: a LazySeq for beta->rho, an
-    OracleSeq for rho->beta (that direction searches).
+    single sequence in the same encoding: a LazySeq for beta->rho, a map
+    k -> OracleResult for rho->beta (that direction searches).
     """
     if direction == "beta->rho":
         def chi_at(k: int) -> int:
@@ -185,10 +155,10 @@ def translate_family(f: LazySeq, aux: LazySeq, direction: Literal["beta->rho", "
         i, n = unpair_index(k)
         return t_rho_to_beta(family_member(f, i), family_member(aux, i), b)(n)
 
-    return OracleSeq(result_at, name="family-beta")
+    return result_at
 
 
-def bounding_b(f: LazySeq, fuel: FuelLike) -> OracleSeq:
+def bounding_b(f: LazySeq, fuel: FuelLike) -> Callable[[int], OracleResult]:
     """The bounding functional: n -> Found(t) with f(t) = n for some t below
     fuel, else Exhausted (an honest unknown: n may or may not be attained)."""
     b = _bound(fuel)
@@ -197,7 +167,7 @@ def bounding_b(f: LazySeq, fuel: FuelLike) -> OracleSeq:
         t = f.first_index(n, b)
         return Found(t) if t is not None else Exhausted(b)
 
-    return OracleSeq(compute, name="bounding-b")
+    return compute
 
 
 def refute_total_translator(T: Callable[[LazySeq, LazySeq], LazySeq],

@@ -50,12 +50,14 @@ __all__ = [
 _DEFAULT_CACHE_CAP: Optional[int] = None
 
 
-def set_default_cache_cap(cap: Optional[int]) -> None:
-    """Cap the memo size of subsequently created sequences (CLI knob)."""
+def set_default_cache_cap(cap: Optional[int]) -> Optional[int]:
+    """Cap the memo size of subsequently created sequences (CLI knob).
+    Returns the cap it replaces."""
     global _DEFAULT_CACHE_CAP
     if cap is not None and cap < 1:
         raise ValueError("cache cap must be positive or None")
-    _DEFAULT_CACHE_CAP = cap
+    previous, _DEFAULT_CACHE_CAP = _DEFAULT_CACHE_CAP, cap
+    return previous
 
 
 class LazySeq:
@@ -67,15 +69,18 @@ class LazySeq:
     """
 
     def __init__(self, generator: Callable[[int], int], *, name: str = "",
-                 no_zero: bool = False, all_zero: bool = False,
-                 max_cache: Optional[int] = None):
+                 no_zero: bool = False, all_zero: bool = False):
         if no_zero and all_zero:
             raise ValueError("a sequence cannot promise both no_zero and all_zero")
         self._generator = generator
         self._cache: dict[int, int] = {}
         self._lock = threading.Lock()
-        self._max_cache = max_cache if max_cache is not None else _DEFAULT_CACHE_CAP
-        self._index: Optional[_FirstIndex] = None
+        self._max_cache = _DEFAULT_CACHE_CAP
+        # first index of every value in s(0..scanned-1), for first_index;
+        # its own lock serializes the scans
+        self._first: dict[int, int] = {}
+        self._scanned = 0
+        self._scan_lock = threading.Lock()
         self.name = name
         self.no_zero = no_zero
         self.all_zero = all_zero
@@ -101,11 +106,21 @@ class LazySeq:
         Reads s(0..t) for the answer t, or s(0..bound-1) when there is none,
         and of those only the indices no earlier search has scanned.
         """
-        if self._index is None:
-            with self._lock:
-                if self._index is None:
-                    self._index = _FirstIndex()
-        return self._index.find(self, value, bound)
+        with self._scan_lock:
+            t = self._first.get(value)
+            if t is None:
+                t = self._scanned
+                cap = self._max_cache
+                while t < bound:
+                    v = self(t)
+                    if cap is None or t < cap:
+                        self._first.setdefault(v, t)
+                        self._scanned = t + 1
+                    if v == value:
+                        return t
+                    t += 1
+                return None
+        return t if t < bound else None
 
     def with_no_zero_promise(self) -> "LazySeq":
         """Same sequence, with the caller's word that it has no zero."""
@@ -119,39 +134,6 @@ class LazySeq:
         tag = self.name or "LazySeq"
         flags = "".join(f for f, on in ((",no-zero", self.no_zero), (",all-zero", self.all_zero)) if on)
         return f"<{tag}{flags}>"
-
-
-class _FirstIndex:
-    """First index of every value in the scanned prefix s(0..scanned-1).
-
-    The prefix grows only as far as a search needs, and at most to the
-    sequence's memo cap; searches past the cap scan on from the prefix
-    without recording.
-    """
-
-    __slots__ = ("first", "scanned", "lock")
-
-    def __init__(self):
-        self.first: dict[int, int] = {}
-        self.scanned = 0
-        self.lock = threading.Lock()
-
-    def find(self, s: LazySeq, value: int, bound: int) -> Optional[int]:
-        with self.lock:
-            t = self.first.get(value)
-            if t is None:
-                t = self.scanned
-                cap = s._max_cache
-                while t < bound:
-                    v = s(t)
-                    if cap is None or t < cap:
-                        self.first.setdefault(v, t)
-                        self.scanned = t + 1
-                    if v == value:
-                        return t
-                    t += 1
-                return None
-        return t if t < bound else None
 
 
 class UltimatelyConstantSeq(LazySeq):

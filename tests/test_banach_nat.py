@@ -240,6 +240,18 @@ class TestGadget:
 
 
 class TestUnboundedPair:
+    def test_bounds_are_least_witnesses(self):
+        # a member n bounds to its least witness below the fuel; a non-member
+        # and a member witnessed only past the fuel both bound to 0
+        double = LazySeq(lambda n: 2 * n)
+        mixed = LazySeq(lambda n: (n * 7) % 31 + 1)
+        p = bn.unbounded_pair(double, mixed, Fuel(32))
+        assert [p.b0(n) for n in (0, 6, 7, 62, 64)] == [0, 3, 0, 31, 0]
+        least = {}
+        for t in range(32):
+            least.setdefault(mixed(t), t)
+        assert [p.b1(n) for n in range(40)] == [least.get(n, 0) for n in range(40)]
+
     def test_matches_hand_bounds(self):
         p_auto = bn.unbounded_pair(SUCC, SUCC, Fuel(128))
         h_auto = bn.banach_bijection_nat(p_auto, 8, 32)

@@ -14,8 +14,66 @@ from banachkit.cli import (
     parse_fn,
     run,
 )
+from banachkit.streams import LazySeq, prefix, set_default_cache_cap
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# argv pieces for the fuzz: a flag left out (None), a valid value or any
+# Unicode text, with numbers kept small so that every run is short
+TEXT = st.text(max_size=8)
+NOT_A_NUMBER = TEXT.filter(lambda t: not (t.isascii() and t.isdigit()))
+
+
+def one_of(*valid, text=TEXT):
+    return st.none() | st.sampled_from(valid) | text
+
+
+COUNT = one_of("0", "1", "3", "-1", text=NOT_A_NUMBER)
+LEVEL = one_of("0", "2", text=NOT_A_NUMBER)
+# a cap small enough to bind makes the corpus suites slow
+MAX_CACHE = one_of("0", "1000", text=NOT_A_NUMBER)
+SEQ = one_of("1,0;1", ";0", ";1", "1,1,0;0")
+FN = one_of("identity", "succ", "double", "const:1", "1,0;1")
+POINT = one_of("1/2^1", "3/2^2", "1", "1,0;1", ";0")
+PROMISE = one_of("no-zero", "all-zero")
+
+# subcommand -> its positional (no dashes) and flags, with the values to
+# draw; True is a switch that is on
+CLI_ARGS = {
+    "oracle": [("--op", one_of("lpo", "mu0", "mu", "llpomin")), ("--seq", SEQ),
+               ("--promise", PROMISE), ("--fuel", COUNT), ("--format", one_of("json", "text"))],
+    "range": [("action", one_of("verify", "translate", "bounding")), ("--f", FN), ("--aux", FN),
+              ("--kind", one_of("rho", "beta")), ("--dir", one_of("beta-to-rho", "rho-to-beta")),
+              ("--n-max", COUNT), ("--show", COUNT), ("--fuel", COUNT)],
+    "reduce": [("--pipeline", one_of("llpo-from-lpo", "llpomin-from-lpo", "llpomin-from-llpo",
+                                     "llpo-from-llpomin", "grilliot")),
+               ("--seq", SEQ), ("--promise", PROMISE), ("--fuel", COUNT)],
+    "banach-nat": [("--f0", FN), ("--f1", FN), ("--b0", FN), ("--b1", FN),
+                   ("--bounds-fuel", COUNT), ("--n-max", COUNT), ("--depth", COUNT)],
+    "gadget": [("--g", SEQ), ("--n-max", COUNT), ("--depth", COUNT)],
+    "diagram": [("--g", SEQ), ("--width", one_of("0", "3", "4", "12", text=NOT_A_NUMBER))],
+    "metric": [("action", one_of("range", "preimage", "modulus", "banach-h")),
+               ("--space", one_of("interval", "cantor")),
+               ("--fun", one_of("halving", "identity", "padding", "preimage-gadget")),
+               ("--w", SEQ), ("--x", POINT), ("--y", POINT), ("--level", LEVEL),
+               ("--m-max", LEVEL), ("--max-level", COUNT), ("--fuel", COUNT)],
+    "decode": [("--code", one_of("{code}")), ("--space", one_of("interval", "cantor")),
+               ("--x", POINT), ("--level", LEVEL), ("--max-level", COUNT),
+               ("--check", st.sampled_from([None, True]))],
+    # --cases is never left out: the default 50 cases take about a second
+    "corpus": [("--suite", one_of("reductions", "translators", "banach-nat", "metric", "all")),
+               ("--seed", one_of("0", "7")), ("--cases", st.sampled_from(["1", "0", "x"]))],
+}
+
+
+@pytest.fixture(scope="module")
+def code_file(tmp_path_factory):
+    """A constant function code (value 1/4) with balls down to level 3."""
+    entries = [{"n": n, "a": [n, i], "r": "1", "b": [2, 2], "s": f"1/2^{n}"}
+               for n in range(4) for i in range(2 ** (n + 1) + 1)]
+    path = tmp_path_factory.mktemp("code") / "code.json"
+    path.write_text(json.dumps(entries))
+    return path
 
 
 def run_json(capsys, argv):
@@ -64,6 +122,8 @@ class TestExitCodes:
         ["metric", "modulus", "--max-level", "{}"],
         ["decode", "--code", "c.json", "--max-level", "{}"],
         ["--max-cache", "{}", "gadget", "--g", "1;0"],
+        ["range", "bounding", "--f", "double", "--show", "{}"],
+        ["corpus", "--cases", "{}"],
     ])
     @pytest.mark.parametrize("value", ["0", "-1", "x", "\u00b2"])
     def test_counts_must_be_positive(self, capsys, argv, value):
@@ -90,6 +150,33 @@ class TestExitCodes:
                                        "--x", "1/2^1" if space == "interval" else "1;0",
                                        "--level", "0"])
         assert code == EXIT_OK and data["output"]["out_level"] == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["diagram", "--width", "3"], "expected an integer >= 4"),
+        (["diagram", "--width", "0"], "expected an integer >= 4"),
+        (["gadget", "--g", "1;0", "--n-max", "1"], "expected an integer >= 2"),
+        (["gadget", "--g", "1;0", "--n-max", "3", "--depth", "2"], "--depth of at least --n-max 3"),
+        (["banach-nat", "--f0", "succ", "--f1", "succ", "--depth", "15"],
+         "--depth of at least --n-max 16"),
+    ])
+    def test_below_a_minimum_is_three(self, capsys, argv, message):
+        assert run(argv) == EXIT_PARSE
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["metric", "range"], "--y"),
+        (["metric", "preimage", "--space", "cantor", "--fun", "padding"], "--y"),
+        (["metric", "banach-h"], "--x"),
+        (["metric", "range", "--space", "cantor", "--fun", "preimage-gadget"], "--w"),
+        (["range", "verify", "--f", "double"], "--aux"),
+        (["range", "translate", "--f", "double", "--dir", "rho-to-beta"], "--aux"),
+        (["decode", "--code", "{code}"], "--x"),
+    ])
+    def test_missing_literal_flag_is_three(self, capsys, tmp_path, argv, flag):
+        code = tmp_path / "code.json"
+        code.write_text(json.dumps([{"n": 0, "a": [0, 0], "r": "1", "b": [0, 0], "s": "1"}]))
+        assert run([str(code) if a == "{code}" else a for a in argv]) == EXIT_PARSE
+        assert f"expected {flag} " in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
     def test_bad_fuel_variable_is_three(self, capsys, monkeypatch, raw):
@@ -168,14 +255,21 @@ class TestTextReportGolden:
 
 class TestCacheCapFlag:
     def test_capped_run_still_correct(self, capsys):
-        from banachkit.streams import set_default_cache_cap
+        code, data = run_json(capsys, ["--max-cache", "4", "gadget",
+                                       "--g", "1,1,1,0;0"])
+        assert code == EXIT_OK and data["output"] == {"h1": 1}
 
+    def test_cap_ends_with_the_run(self, capsys):
+        # the flag caps the sequences of its own run only, and gives back
+        # the default it replaced
+        set_default_cache_cap(7)
         try:
-            code, data = run_json(capsys, ["--max-cache", "4", "gadget",
-                                           "--g", "1,1,1,0;0"])
-            assert code == EXIT_OK and data["output"] == {"h1": 1}
+            assert run(["--max-cache", "4", "oracle", "--op", "lpo", "--seq", "1;0"]) == EXIT_OK
         finally:
-            set_default_cache_cap(None)
+            assert set_default_cache_cap(None) == 7
+        s = LazySeq(lambda n: n)
+        prefix(s, 10)
+        assert len(s._cache) == 10
 
 
 class TestCorpusCommand:
@@ -257,8 +351,17 @@ class TestParseFn:
             return
         assert isinstance(out, LazySeq)
 
-    @given(st.text(alphabet="0123456789\u00b2,;^/x", max_size=10))
-    @settings(max_examples=60, deadline=None)
-    def test_cli_never_crashes_on_malformed_seq(self, text):
-        code = run(["oracle", "--op", "lpo", "--seq", text, "--fuel", "4"])
-        assert code in (EXIT_OK, EXIT_EXHAUSTED, EXIT_PARSE)
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cli_never_crashes_on_malformed_seq(self, code_file, data):
+        # every subcommand, with each flag left out, valid or any Unicode text
+        command = data.draw(st.sampled_from(sorted(CLI_ARGS)))
+        argv = []
+        for flag, values in [("--max-cache", MAX_CACHE), (command, st.just(True))] + CLI_ARGS[command]:
+            value = data.draw(values)
+            if value is True:  # the subcommand, or a switch that is on
+                argv.append(flag)
+            elif value is not None:
+                argv += [flag, value] if flag.startswith("--") else [value]
+        argv = [str(code_file) if a == "{code}" else a for a in argv]
+        assert run(argv) in (EXIT_OK, EXIT_VERIFY, EXIT_EXHAUSTED, EXIT_PARSE)

@@ -421,6 +421,18 @@ class TestUCFunInvariant:
                         fv = F.apply_value(v, k + 2)
                         assert X.dist_lt_pow2(fu, fv, k)
 
+    def test_bit_queries_on_an_interval_fun_raise(self, halving):
+        # real raises, not asserts, so they hold under python -O
+        X, F, _ = halving
+        bare = interval_fun(X, None, F.modulus, name="bare")
+        zeros = BitStream((), (0,)).bit
+        with pytest.raises(TypeError):
+            F.image_agrees(HALF, zeros, 2)
+        with pytest.raises(TypeError):
+            F.find_witness(2, (), zeros, 2)
+        with pytest.raises(TypeError):
+            bare.image_value(HALF, 2)
+
 
 class TestApplyExamples:
     def test_halving_apply_value(self, halving):
