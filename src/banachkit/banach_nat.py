@@ -73,6 +73,14 @@ class BoundedInjPair:
                     raise VerificationError(
                         f"bounding failure: {tag}({t0}) = {n} but the bound is {b(n)}")
 
+    def f0_preimage(self, n: int) -> Optional[int]:
+        """The least t <= b0(n) with f0(t) = n, or None."""
+        return self.f0.first_index(n, self.b0(n) + 1)
+
+    def f1_preimage(self, n: int) -> Optional[int]:
+        """The least t <= b1(n) with f1(t) = n, or None."""
+        return self.f1.first_index(n, self.b1(n) + 1)
+
 
 @dataclass
 class PartialBijection:
@@ -116,16 +124,16 @@ def tree_member(p: BoundedInjPair, sigma: Sequence[int]) -> bool:
     on the verified prefix injectivity of f1 makes the witness unique anyway.
     """
     L = len(sigma)
-    f0, f1, b0, b1 = p.f0, p.f1, p.b0, p.b1
+    f0, f1 = p.f0, p.f1
     for m in range(L):
         if sigma[m] not in (0, 1):
             return False
-        t = f1.first_index(m, b1(m) + 1)
+        t = p.f1_preimage(m)
         if t is None:
             if sigma[m] != 0:
                 return False
         else:
-            if f0.first_index(t, b0(t) + 1) is None and sigma[m] != 1:
+            if p.f0_preimage(t) is None and sigma[m] != 1:
                 return False
     # (iii) and (iv) are vacuous unless sigma takes both bits, and only then
     # do they read the pointer q(m) = f1(f0(m))
@@ -154,7 +162,7 @@ def path_to_bijection(p: BoundedInjPair, path: Sequence[int]) -> PartialBijectio
             forward[m] = p.f0(m)
             tags[m] = VIA_F0
         else:
-            t = p.f1.first_index(m, p.b1(m) + 1)
+            t = p.f1_preimage(m)
             if t is None:
                 raise IllDefinedError(m)
             forward[m] = t
@@ -173,13 +181,13 @@ def _solve_leftmost(p: BoundedInjPair, depth: int) -> Optional[List[int]]:
     with the verbatim clause check is exercised by the test suite against the
     generic tree search.
     """
-    f0, f1, b0, b1 = p.f0, p.f1, p.b0, p.b1
+    f0, f1 = p.f0, p.f1
     forced: List[Optional[int]] = [None] * depth
     for m in range(depth):
-        t = f1.first_index(m, b1(m) + 1)
+        t = p.f1_preimage(m)
         if t is None:
             forced[m] = 0
-        elif f0.first_index(t, b0(t) + 1) is None:
+        elif p.f0_preimage(t) is None:
             forced[m] = 1
 
     parent = list(range(depth))
@@ -269,12 +277,12 @@ def chain_trace(p: BoundedInjPair, start: int, side: Literal["A", "B"],
     for _ in range(b):
         kind, value = node
         if kind == "A":
-            t = p.f1.first_index(value, p.b1(value) + 1)
+            t = p.f1_preimage(value)
             if t is None:
                 return ChainClassification("A-source", value, steps, None, b)
             node = ("B", t)
         else:
-            s = p.f0.first_index(value, p.b0(value) + 1)
+            s = p.f0_preimage(value)
             if s is None:
                 return ChainClassification("B-source", value, steps, None, b)
             node = ("A", s)
@@ -392,7 +400,7 @@ def verify_banach(p: BoundedInjPair, h: PartialBijection, n_max: int) -> BanachR
     for n in range(n_max):
         cls = chain_trace(p, n, "B", n_max)
         if cls.origin == "A-source":
-            coverer = p.f0.first_index(n, p.b0(n) + 1)
+            coverer = p.f0_preimage(n)
         elif cls.origin == "B-source":
             coverer = p.f1(n)
         else:

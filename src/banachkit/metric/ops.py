@@ -21,7 +21,7 @@ carries its own exact_range predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -104,10 +104,8 @@ def _interval_image(F: UCFun, x: Value, m: int) -> Dyadic:
 def _image_matches(X: CompactSpace, F: UCFun, level: int, i: int, y: Point, m: int) -> bool:
     """d(F(x_{level,i}), y) < 2^-m."""
     x = X.net_point(level, i)
-    if X.kind == "cantor":
+    if X.kind == "cantor":  # a precision-indexed map: bit maps use find_witness
         yb = _cantor_target_bits(y, m)
-        if F.solver:
-            return F.image_agrees(x, yb, m)
         w = F.image_value(x, m + 2)
         return all(w.bit(n) == yb(n) for n in range(m + 1))
     return X.dist_lt_pow2(_interval_image(F, x, m), _interval_target(y, m), m)
@@ -139,10 +137,6 @@ def range_char(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> RangeAnswer:
     return RangeAnswer("in-range-up-to", m_max)
 
 
-def _padded_modulus(F: UCFun) -> Callable[[int], int]:
-    return lambda k: max(F.modulus(k), k + 3)
-
-
 def preimage_select(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> Point:
     """Select a rapidly converging preimage of y under F, level by level.
 
@@ -161,15 +155,17 @@ def preimage_select(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> Point:
     construction allows; choose m_max a few levels above the precision
     actually consumed (more for maps that expand distances, like padding).
     """
-    pad = _padded_modulus(F)
+    def pad(j: int) -> int:  # the padded-modulus level, within the space cap
+        level = max(F.modulus(j), j + 3)
+        if level > X.max_level:
+            raise CapExceededError(f"padded modulus {level} beyond the space cap {X.max_level}")
+        return level
 
     def candidates(m: int, prev: Optional[Value]):
         level = pad(m)
-        if level > X.max_level:
-            raise CapExceededError(f"padded modulus {level} beyond the space cap {X.max_level}")
         if X.kind == "cantor" and F.solver:
             fixed = prev.bits(m) if prev is not None else ()
-            for i in F.iter_witnesses(level, fixed, _cantor_target_bits(y, m), m):
+            for i, _ in F.walk(level, fixed, _cantor_target_bits(y, m), m):
                 yield X.net_point(level, i)
             return
         # double the radius so the superset covers the closed ball, then
@@ -184,24 +180,24 @@ def preimage_select(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> Point:
                 yield x
 
     def lookahead_ok(cand: Value, m: int) -> bool:
-        for j in range(m + 1, m_max + 1):
-            level = pad(j)
-            if level > X.max_level:
-                raise CapExceededError(f"padded modulus {level} beyond the space cap {X.max_level}")
-            if X.kind == "cantor" and F.solver:
-                fixed = cand.bits(m + 3)
-                if F.find_witness(level, fixed, _cantor_target_bits(y, j), j) is None:
-                    return False
-                continue
-            hit = False
-            for i in X.ids_in_ball(level, cand, Dyadic.pow2(-(m + 2))):
-                x = X.net_point(level, i)
-                if X.dist_lt_pow2(x, cand, m + 2) and _image_matches(X, F, level, i, y, j):
-                    hit = True
-                    break
-            if not hit:
-                return False
-        return True
+        # every cap is checked before any search, so a level past the cap
+        # raises even where a smaller j would already fail
+        levels = [pad(j) for j in range(m + 1, m_max + 1)]
+        if X.kind == "cantor" and F.solver:
+            # One search at j = m_max covers each j in (m, m_max]: its witness,
+            # truncated or zero-padded to level pad(j), is a witness at j.
+            # - causality: image bits 0..j read only input bits 0..j;
+            # - pad(j) >= j+3 >= m+4, so the word keeps cand's bits 0..m+2
+            #   and the witness's bits 0..j, hence its image bits 0..j;
+            # - y's approximants at levels j+1 and m_max+1 agree on bits 0..j
+            #   (the Point contract; past y's cap both are its last one).
+            return not levels or F.find_witness(
+                levels[-1], cand.bits(m + 3), _cantor_target_bits(y, m_max), m_max) is not None
+        return all(
+            any(X.dist_lt_pow2(X.net_point(level, i), cand, m + 2)
+                and _image_matches(X, F, level, i, y, j)
+                for i in X.ids_in_ball(level, cand, Dyadic.pow2(-(m + 2))))
+            for j, level in enumerate(levels, m + 1))
 
     def compute_level(m: int, below: List[Value]) -> Value:
         prev = below[m - 1] if m > 0 else None
@@ -229,16 +225,11 @@ def _cap_images(X: CompactSpace, F: UCFun, cap: int) -> Tuple[np.ndarray, int]:
         images = [_interval_image(F, X.net_point(cap, i), cap + 2) for i in ids]
         s = max(cap + 2, max(f.exp for f in images))
         return np.array([f.scaled_int(s) for f in images], dtype=np.int64), s
-    words = [_word_int(F.image_value(X.net_point(cap, i), cap + 1).bits(cap + 2))
-             for i in ids]
+    if F.solver:
+        words = [image for _, image in F.walk(cap, (), None, cap + 1)]
+    else:
+        words = [X.id_of(cap + 1, F.image_value(X.net_point(cap, i), cap + 1)) for i in ids]
     return np.array(words, dtype=np.int64), cap + 1
-
-
-def _word_int(bits: Iterable[int]) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | b
-    return out
 
 
 def _profile(X: CompactSpace, F: UCFun, cap: int) -> Tuple[List[int], int]:

@@ -5,13 +5,15 @@ modulus sequence. Two constructors cover this package's needs:
 
 * interval_fun wraps an exact map on dyadics;
 * cantor_fun wraps a bit function where output bit n reads input bits 0..n
-  (so the identity is always a valid modulus).
+  (so the identity is always a valid modulus). The contract is checked: a
+  bit function that reads a later input bit raises VerificationError.
 
-Cantor bit functions additionally support constrained witness search: find a
-net word with a prescribed prefix whose image agrees with a target through a
-given index. The search walks bits in order and checks each image bit the
-moment it is determined, so for the rigid maps used here it prunes
-immediately instead of enumerating the exponentially large net.
+A Cantor bit function is evaluated in one place, `UCFun.walk`: a depth-first
+walk over input prefixes that computes image bit d once per prefix of length
+d+1. One image (a walk with a single leaf), the images of a net level and the
+witness searches all read it. A search fixes an input prefix and checks each
+image bit against a target once computed, so for the rigid maps used here it
+prunes at once instead of enumerating the exponentially large net.
 
 exact_apply / exact_range / exact_preimage, when present, give the function's
 own closed-form action on exact points; the generic net algorithms never
@@ -21,8 +23,9 @@ require them, but the exact bijection values in the acceptance suite do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
+from ..errors import VerificationError
 from ..streams import LazySeq
 from .dyadic import Dyadic
 from .spaces import BitStream, CompactSpace, Point, Value
@@ -53,10 +56,12 @@ class UCFun:
             return self.space.round_value(self._precision_map(v, out_level), out_level)
         if self._value_map is not None:
             return self.space.round_value(self._value_map(v), out_level)
-        if self._bit_map is None:
-            raise TypeError(f"{self.name} is not a Cantor bit map")
-        bits = _stream_bits(v)
-        return BitStream.word(tuple(self._bit_map(bits, n) for n in range(out_level + 1)))
+        if not isinstance(v, BitStream):
+            raise TypeError(f"expected a bit stream, got {v!r}")
+        # image bits 0..out_level read input bits 0..out_level only, so the
+        # stream's own prefix pins the walk to a single leaf
+        (_, image), = self.walk(out_level, v.bits(out_level + 1), None, out_level)
+        return self.space.net_point(out_level, image)
 
     def raw_image(self, v: Value) -> Dyadic:
         """The exact unrounded image of an interval value."""
@@ -70,16 +75,6 @@ class UCFun:
             raise TypeError(f"{self.name} has no precision-indexed image")
         return self._precision_map(v, m)
 
-    def apply_value(self, v: Value, out_level: int) -> Value:
-        return self.image_value(v, out_level)
-
-    def image_agrees(self, v: Value, y_bits: Callable[[int], int], through: int) -> bool:
-        """d(F(v), y) < 2^-through on Cantor, decided from bits 0..through."""
-        if self._bit_map is None:
-            raise TypeError(f"{self.name} is not a Cantor bit map")
-        bits = _stream_bits(v)
-        return all(self._bit_map(bits, n) == y_bits(n) for n in range(through + 1))
-
     @property
     def solver(self) -> bool:
         return self._bit_map is not None
@@ -88,61 +83,57 @@ class UCFun:
                      y_bits: Callable[[int], int], through: int) -> Optional[int]:
         """Least net id at `level` extending fixed_prefix whose image agrees
         with y through the given index, or None."""
-        for i in self.iter_witnesses(level, fixed_prefix, y_bits, through):
-            return i
-        return None
+        return next((i for i, _ in self.walk(level, fixed_prefix, y_bits, through)), None)
 
-    def iter_witnesses(self, level: int, fixed_prefix: Sequence[int],
-                       y_bits: Callable[[int], int], through: int) -> Iterator[int]:
-        """All witnesses as in find_witness, ascending (lexicographic) ids."""
-        if self._bit_map is None:
-            raise TypeError(f"{self.name} is not a Cantor bit map")
-        L = level + 1
+    def walk(self, level: int, fixed_prefix: Sequence[int],
+             y_bits: Optional[Callable[[int], int]], through: int) -> Iterator[Tuple[int, int]]:
+        """(id, image) for each net word at `level` that extends fixed_prefix
+        and whose image agrees with y_bits on indices 0..through (every such
+        word when y_bits is None), in ascending id order. The image is its
+        bits 0..through read as a binary integer, bit 0 leading.
+
+        Depth-first over input prefixes, 0 before 1, on an explicit stack
+        (levels can exceed the recursion limit). Image bit d is computed once
+        per prefix of length d+1 and checked at once, pruning the subtree on
+        a mismatch; image bits past the word read its zero tail. The probe
+        raises VerificationError when the bit function, computing output bit
+        n, reads an input bit past n.
+        """
         bit_map = self._bit_map
+        if bit_map is None:
+            raise TypeError(f"{self.name} is not a Cantor bit map")
         fixed = tuple(fixed_prefix)
-        if len(fixed) > L:
+        if len(fixed) > level + 1:
             raise ValueError("fixed prefix longer than the word")
-
-        chosen: list[int] = []
+        # the node: input bits 0..depth as the integer `word`; n is the
+        # output bit being computed
+        depth = word = n = 0
 
         def probe(i: int) -> int:
+            if i > n:
+                raise VerificationError(f"{self.name}: output bit {n} read input bit {i}")
             # a net word denotes itself followed by zeros
-            return chosen[i] if i < len(chosen) else 0
+            return (word >> (depth - i)) & 1 if i <= depth else 0
 
-        def options(depth: int) -> list[int]:
-            return [fixed[depth]] if depth < len(fixed) else [0, 1]
+        def children(d: int, w: int, image: int) -> list:
+            # pushed 1 first, so that 0 pops first and ids come out ascending
+            bits = (fixed[d],) if d < len(fixed) else (1, 0)
+            return [(d, (w << 1) | b, image) for b in bits]
 
-        # depth-first, 0 before 1, so ids come out ascending; each image bit
-        # is checked the moment its position is fixed, pruning early
-        pending: list[list[int]] = [options(0)]
-        while pending:
-            opts = pending[-1]
-            if not opts:
-                pending.pop()
-                if chosen:
-                    chosen.pop()
-                continue
-            chosen.append(opts.pop(0))
-            d = len(chosen) - 1
-            if d <= through and bit_map(probe, d) != y_bits(d):
-                chosen.pop()
-                continue
-            if len(chosen) == L:
-                # image constraints past the word read into its zero tail
-                if all(bit_map(probe, n) == y_bits(n) for n in range(L, through + 1)):
-                    out = 0
-                    for bit in chosen:
-                        out = (out << 1) | bit
-                    yield out
-                chosen.pop()
-                continue
-            pending.append(options(len(chosen)))
-
-
-def _stream_bits(v: Value) -> Callable[[int], int]:
-    if isinstance(v, BitStream):
-        return v.bit
-    raise TypeError(f"expected a bit stream, got {v!r}")
+        stack = children(0, 0, 0)
+        while stack:
+            depth, word, image = stack.pop()
+            top = through if depth == level else min(depth, through)
+            for n in range(depth, top + 1):
+                bit = bit_map(probe, n)
+                if y_bits is not None and bit != y_bits(n):
+                    break
+                image = (image << 1) | bit
+            else:
+                if depth == level:
+                    yield word, image
+                else:
+                    stack.extend(children(depth + 1, word, image))
 
 
 def interval_fun(space: CompactSpace, fn: Callable[[Dyadic], Dyadic],
@@ -152,5 +143,6 @@ def interval_fun(space: CompactSpace, fn: Callable[[Dyadic], Dyadic],
 
 def cantor_fun(space: CompactSpace, bit_fn: Callable[[Callable[[int], int], int], int],
                modulus: LazySeq, name: str = "f", **extras) -> UCFun:
-    """bit_fn(x, n) must read only x(0), .., x(n)."""
+    """bit_fn(x, n) must read only x(0), .., x(n); UCFun.walk, which makes
+    every call, raises VerificationError when it reads further."""
     return UCFun(space=space, modulus=modulus, name=name, _bit_map=bit_fn, **extras)

@@ -123,15 +123,8 @@ def t_rho_to_beta(f: LazySeq, chi: LazySeq,
     either chi is wrong at n or the fuel is too small. Returning per-index
     results keeps the usable indices of a partially wrong chi usable.
     """
-    b = _bound(fuel)
-
-    def compute(n: int) -> OracleResult:
-        if chi(n) == 0:
-            return Found(0)
-        t = f.first_index(n, b)
-        return Found(t) if t is not None else Exhausted(b)
-
-    return compute
+    bounded = bounding_b(f, fuel)
+    return lambda n: Found(0) if chi(n) == 0 else bounded(n)
 
 
 def translate_family(f: LazySeq, aux: LazySeq, direction: Literal["beta->rho", "rho->beta"],

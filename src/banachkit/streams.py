@@ -9,8 +9,10 @@ bounding values, first zeros) goes through `LazySeq.first_index`. Each
 sequence keeps one first-occurrence index over the prefix it has scanned, so
 repeated searches cost no rereads. The index reads through the sequence's own
 point query and reads exactly what a linear scan would: s(0..t) for the
-answer t, or s(0..bound-1) when there is none. Past the memo cap it stops
-recording and answers by scanning on from the recorded prefix.
+answer t, or s(0..bound-1) when there is none. Past the memo cap it records
+only the values searched for: each one's first index, or the bound below
+which it is absent, where the next search for that value starts. So memory
+grows with the number of values searched, not with the number scanned.
 
 The classically non-computable functionals (zero detection, zero selection,
 least zero) are made honest by an explicit search bound ("fuel"): a positive
@@ -76,10 +78,12 @@ class LazySeq:
         self._cache: dict[int, int] = {}
         self._lock = threading.Lock()
         self._max_cache = _DEFAULT_CACHE_CAP
-        # first index of every value in s(0..scanned-1), for first_index;
-        # its own lock serializes the scans
+        # first index of every value in s(0..scanned-1) and, past the memo
+        # cap, of each value searched for, which is otherwise absent below
+        # its _absent entry; the index's own lock serializes the scans
         self._first: dict[int, int] = {}
         self._scanned = 0
+        self._absent: dict[int, int] = {}
         self._scan_lock = threading.Lock()
         self.name = name
         self.no_zero = no_zero
@@ -104,23 +108,27 @@ class LazySeq:
         """Least t < bound with s(t) = value, or None.
 
         Reads s(0..t) for the answer t, or s(0..bound-1) when there is none,
-        and of those only the indices no earlier search has scanned.
+        and of those only the indices no earlier search has scanned (past the
+        memo cap: no earlier search for the same value).
         """
         with self._scan_lock:
             t = self._first.get(value)
-            if t is None:
-                t = self._scanned
-                cap = self._max_cache
-                while t < bound:
-                    v = self(t)
-                    if cap is None or t < cap:
-                        self._first.setdefault(v, t)
-                        self._scanned = t + 1
-                    if v == value:
-                        return t
-                    t += 1
-                return None
-        return t if t < bound else None
+            if t is not None:
+                return t if t < bound else None
+            t = max(self._scanned, self._absent.get(value, 0))
+            cap = self._max_cache
+            while t < bound:
+                v = self(t)
+                if cap is None or t < cap:
+                    self._first.setdefault(v, t)
+                    self._scanned = t + 1
+                if v == value:
+                    self._first[value] = t
+                    return t
+                t += 1
+            if t > self._scanned:
+                self._absent[value] = t
+            return None
 
     def with_no_zero_promise(self) -> "LazySeq":
         """Same sequence, with the caller's word that it has no zero."""

@@ -7,7 +7,7 @@ from banachkit import banach_nat as bn
 from banachkit.corpora import block_permutation, block_shift_injection, random_shift_pair
 from banachkit.errors import NoPathError, VerificationError
 from banachkit.omniscience import llpomin, wkl_search
-from banachkit.streams import Fuel, LazySeq, UltimatelyConstantSeq, parse_seq
+from banachkit.streams import Fuel, LazySeq, UltimatelyConstantSeq, parse_seq, set_default_cache_cap
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -34,6 +34,28 @@ class TestBoundedInjPair:
         zeros = UltimatelyConstantSeq((), 0)
         with pytest.raises(VerificationError):
             bn.BoundedInjPair(SUCC, IDENT, zeros, IDENT)
+
+    def test_bounded_preimages(self):
+        # f0 = succ bounded by n - 2 (unsound from n = 2), f1 = succ bounded by n
+        minus_two = LazySeq(lambda n: max(n - 2, 0))
+        p = bn.BoundedInjPair(SUCC, SUCC, minus_two, IDENT, verified_prefix=0)
+        assert [p.f1_preimage(n) for n in range(4)] == [None, 0, 1, 2]
+        # the witness n - 1 lies past the bound n - 2, so none is found
+        assert [p.f0_preimage(n) for n in range(4)] == [None, 0, None, None]
+
+    def test_capped_gadget_reads_g_once_per_index(self):
+        # past a binding memo cap, the gadget's f0 and f1 search g for its
+        # first zero with growing bounds; each search starts where the last
+        # one left off, so g's generator runs once per index
+        for depth in (140, 280):
+            previous = set_default_cache_cap(64)
+            try:
+                calls = []
+                g = LazySeq(lambda n: calls.append(n) or 1, name="g")
+                bn.banach_bijection_nat(bn.gadget_llpo(g), depth // 4, depth)
+            finally:
+                set_default_cache_cap(previous)
+            assert sorted(calls) == list(range(depth)), depth
 
 
 class TestTreeMember:

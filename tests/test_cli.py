@@ -199,6 +199,9 @@ class TestExitCodes:
         ["metric", "range", "--y", "1/2^2", "--m-max", "40"],
         ["metric", "modulus", "--m-max", "12", "--max-level", "10"],
         ["metric", "preimage", "--y", "1/2^2", "--m-max", "4", "--level", "6"],
+        # no preimage either, but every lookahead cap is checked first
+        ["metric", "preimage", "--space", "cantor", "--fun", "padding", "--y", "0,1;0",
+         "--m-max", "4", "--max-level", "6", "--level", "0"],
     ])
     def test_beyond_a_cap_is_three(self, capsys, argv):
         assert run(argv) == EXIT_PARSE

@@ -1,12 +1,15 @@
 import itertools
+import sys
 
 import pytest
 
 from banachkit.errors import (
+    CapExceededError,
     ConstructionStalledError,
     ExhaustionError,
     NoValidModulusError,
     RangeInconsistencyError,
+    VerificationError,
 )
 from banachkit.metric import (
     BitStream,
@@ -30,8 +33,9 @@ from banachkit.metric import (
     unit_interval,
 )
 from banachkit.corpora import halving_chain_law
+from banachkit.metric.ops import _cantor_target_bits
 from banachkit.metric.ucfun import cantor_fun, interval_fun
-from banachkit.streams import Fuel, LazySeq, parse_seq
+from banachkit.streams import Fuel, LazySeq, UltimatelyConstantSeq, parse_seq
 
 HALF = Dyadic(1, 1)
 QUARTER = Dyadic(1, 2)
@@ -277,7 +281,9 @@ class TestModulusProfile:
 
     def test_profile_built_once_per_sweep(self):
         # a CLI sweep, M(0..cap) and the validity of each, takes the images
-        # of the level-cap points once
+        # of the level-cap points once; on Cantor space the prefix walk
+        # computes image bit d once per input prefix of length d+1, and bit
+        # cap+1 once per word: 2^(cap+2) - 2 + 2^(cap+1) calls
         cap = 6
         calls = []
 
@@ -293,7 +299,7 @@ class TestModulusProfile:
         F = interval_fun(X, halve, LazySeq(lambda k: k))
         G = cantor_fun(C, pad_bit, LazySeq(lambda k: k))
         for Y, H, images in ((X, F, X.level_count(cap)),
-                             (C, G, C.level_count(cap) * (cap + 2))):
+                             (C, G, 3 * C.level_count(cap) - 2)):
             calls.clear()
             M = modulus_of(Y, H, cap)
             [M(m) for m in range(cap + 1)]
@@ -417,8 +423,8 @@ class TestUCFunInvariant:
             for u in pts:
                 for v in pts:
                     if X.dist_lt_pow2(u, v, F.modulus(k)):
-                        fu = F.apply_value(u, k + 2)
-                        fv = F.apply_value(v, k + 2)
+                        fu = F.image_value(u, k + 2)
+                        fv = F.image_value(v, k + 2)
                         assert X.dist_lt_pow2(fu, fv, k)
 
     def test_bit_queries_on_an_interval_fun_raise(self, halving):
@@ -427,9 +433,9 @@ class TestUCFunInvariant:
         bare = interval_fun(X, None, F.modulus, name="bare")
         zeros = BitStream((), (0,)).bit
         with pytest.raises(TypeError):
-            F.image_agrees(HALF, zeros, 2)
-        with pytest.raises(TypeError):
             F.find_witness(2, (), zeros, 2)
+        with pytest.raises(TypeError):
+            next(F.walk(2, (), None, 3))
         with pytest.raises(TypeError):
             bare.image_value(HALF, 2)
 
@@ -437,7 +443,7 @@ class TestUCFunInvariant:
 class TestApplyExamples:
     def test_halving_apply_value(self, halving):
         _, F, _ = halving
-        assert F.apply_value(Dyadic(3, 2), 6) == Dyadic(3, 3)
+        assert F.image_value(Dyadic(3, 2), 6) == Dyadic(3, 3)
 
     def test_exact_range_examples(self, halving):
         _, F, _ = halving
@@ -448,3 +454,141 @@ class TestApplyExamples:
         _, F, _ = padding
         x = BitStream((1, 0, 1, 1), (0,))
         assert F.image_value(x, 7).bits(8) == (1, 0, 0, 0, 1, 0, 1, 0)
+
+
+WALK_FUNS = {
+    "padding": lambda: padding_gadget(8)[0],
+    "cantor-identity": lambda: identity_fun(cantor_space(8)),
+    "constant": lambda: constant_fun(cantor_space(8), BitStream((1, 0), (1, 1, 0))),
+    "preimage-gadget": lambda: preimage_gadget(parse_seq("1,1,0;1"), max_level=8),
+}
+
+
+def direct_image(F, word, through):
+    """Image bits 0..through of a net word (zero tail), straight from the
+    bit function, as a binary integer."""
+    out = 0
+    for n in range(through + 1):
+        out = (out << 1) | F._bit_map(lambda i: word[i] if i < len(word) else 0, n)
+    return out
+
+
+class TestPrefixWalk:
+    """UCFun.walk, the one evaluation path of a Cantor bit map."""
+
+    @pytest.mark.parametrize("name", sorted(WALK_FUNS))
+    def test_matches_direct_evaluation(self, name):
+        F = WALK_FUNS[name]()
+        targets = [None, BitStream.constant(0).bit, BitStream((1,), (0, 1)).bit,
+                   BitStream((0, 0, 1), (1, 0, 0)).bit]
+        for level in range(5):
+            words = list(itertools.product((0, 1), repeat=level + 1))
+            for fixed in {(), (0,), (1, 0)[:level + 1], words[-1]}:
+                for through in range(level + 3):
+                    images = [direct_image(F, w, through) for w in words]
+                    for y in targets:
+                        want = [(i, image) for i, (w, image) in enumerate(zip(words, images))
+                                if w[:len(fixed)] == fixed and (y is None or image == sum(
+                                    y(n) << (through - n) for n in range(through + 1)))]
+                        assert list(F.walk(level, fixed, y, through)) == want, (level, fixed, through)
+                        if y is not None:
+                            assert F.find_witness(level, fixed, y, through) == (
+                                want[0][0] if want else None)
+
+    def test_image_value_is_one_leaf(self):
+        F = WALK_FUNS["padding"]()
+        x = BitStream((1, 1), (0, 1, 1))
+        assert F.image_value(x, 9) == BitStream.word(_pad_bits(x.bits(5))[:10])
+
+    def test_acausal_bit_map_raises(self):
+        # output bit n reads input bit n+1, breaking cantor_fun's contract;
+        # a real raise, so it holds under python -O
+        C = cantor_space(6)
+        shift = cantor_fun(C, lambda x, n: x(n + 1), LazySeq(lambda k: k), name="shift")
+        zeros = BitStream.constant(0)
+        with pytest.raises(VerificationError, match="output bit 0 read input bit 1"):
+            shift.find_witness(3, (), zeros.bit, 3)
+        with pytest.raises(VerificationError):
+            modulus_of(C, shift, 4)
+        with pytest.raises(VerificationError):
+            shift.image_value(zeros, 3)
+
+    def test_deep_levels_stay_iterative(self):
+        # Cantor levels come from --max-level and can pass the recursion limit
+        depth = sys.getrecursionlimit() + 500
+        F = identity_fun(cantor_space(depth))
+        y = BitStream((1,), (0, 1))
+        i = F.find_witness(depth, (), y.bit, depth)
+        assert F.space.net_point(depth, i).bits(depth + 1) == y.bits(depth + 1)
+        assert F.image_value(y, depth).bits(depth + 1) == y.bits(depth + 1)
+
+
+def _pad_bits(bits):
+    return tuple(b for bit in bits for b in (bit, 0))
+
+
+class TestOneSearchLookahead:
+    """preimage_select's Cantor lookahead is one witness search at m_max. The
+    reference below runs the per-j conjunction that search replaces, on every
+    candidate in the selector's order, up to the first one accepted."""
+
+    @staticmethod
+    def check_against_per_j(F, y, m_max, top):
+        X = F.space
+        pad = lambda k: max(F.modulus(k), k + 3)
+        target = lambda j: _cantor_target_bits(y, j)
+        p = preimage_select(X, F, y, m_max)
+        prev = None
+        for m in range(top + 1):
+            try:
+                want = p.approx(m)
+            except ConstructionStalledError:
+                want = None
+            accepted = None
+            for i, _ in F.walk(pad(m), prev.bits(m) if prev else (), target(m), m):
+                cand = X.net_point(pad(m), i)
+                per_j = all(F.find_witness(pad(j), cand.bits(m + 3), target(j), j) is not None
+                            for j in range(m + 1, m_max + 1))
+                single = m == m_max or F.find_witness(
+                    pad(m_max), cand.bits(m + 3), target(m_max), m_max) is not None
+                assert per_j == single, (m, i)
+                if per_j:
+                    accepted = cand
+                    break
+            assert accepted == want, m
+            if want is None:
+                return
+            prev = want
+
+    @pytest.mark.parametrize("s", range(33))
+    def test_criterion_9_inputs(self, s):
+        w = UltimatelyConstantSeq((1,) * s + (0,), 1)
+        self.check_against_per_j(preimage_gadget(w), CantorPoint(BitStream.constant(0)), 36, 5)
+
+    @pytest.mark.parametrize("m_max", range(1, 9))
+    @pytest.mark.parametrize("name", ["padding", "cantor-identity"])
+    def test_padding_and_identity(self, name, m_max):
+        F = padding_gadget()[0] if name == "padding" else identity_fun(cantor_space(12))
+        streams = [BitStream.constant(0), BitStream.constant(1), BitStream((1,), (0, 1)),
+                   BitStream((1, 0, 1, 1), (0,)), BitStream(_pad_bits((1, 1, 0)), _pad_bits((1, 0)))]
+        targets = [CantorPoint(v) for v in streams]
+        # a target known only through approximants, capped below m_max
+        targets.append(preimage_select(F.space, identity_fun(F.space),
+                                       CantorPoint(streams[-1]), max(m_max - 2, 0)))
+        for y in targets:
+            self.check_against_per_j(F, y, m_max, m_max)
+
+    @pytest.mark.parametrize("space", ["interval", "cantor"])
+    def test_every_cap_is_checked_before_a_search(self, space):
+        # every candidate fails its lookahead at j = 1 or 2, well before
+        # pad(4) = 7 passes the cap of 6; the cap check comes first, so this
+        # is a cap error (exit 3), not a stalled construction (exit 1)
+        if space == "interval":
+            F, y = halving_gadget(6)[0], IntervalPoint(Dyadic(3, 2))
+        else:
+            F, y = padding_gadget(6)[0], CantorPoint(BitStream((0, 1), (0,)))
+        with pytest.raises(CapExceededError):
+            preimage_select(F.space, F, y, 4).approx(0)
+        # with the caps in reach the same target stalls
+        with pytest.raises(ConstructionStalledError):
+            preimage_select(F.space, F, y, 3).approx(0)

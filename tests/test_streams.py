@@ -168,9 +168,11 @@ class TestFirstIndex:
         by_bound = sorted(queries, key=lambda q: q[1])
         queries = [(queries[0][0], 0)] + queries + by_bound + by_bound[::-1]
         evaluated = set()
+        calls = []
 
         def gen(n):
             evaluated.add(n)
+            calls.append(n)
             return u(n)
 
         class Counted(LazySeq):
@@ -191,6 +193,14 @@ class TestFirstIndex:
             assert evaluated == read
         if cap is None:
             assert s.queries == len(read)  # no index is read twice
+        # one value searched again with growing bounds: each search starts
+        # where the last left off, so even past the cap no index runs twice
+        value = queries[-1][0]
+        del calls[:]
+        for bound in range(26):
+            assert s.first_index(value, bound) == linear_first_index(u, value, bound, read)
+            assert evaluated == read
+        assert len(calls) == len(set(calls))
 
     def test_shared_between_threads(self):
         values = [(n * n) % 31 for n in range(400)]
