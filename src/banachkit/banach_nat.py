@@ -294,6 +294,59 @@ def chain_trace(p: BoundedInjPair, start: int, side: Literal["A", "B"],
     return ChainClassification("unresolved", None, steps, None, b)
 
 
+_Node = Tuple[str, int]
+
+
+def _chain_origins(p: BoundedInjPair, n_max: int) -> List[str]:
+    """chain_trace(p, n, "B", n_max).origin for every n < n_max, in one pass.
+
+    chain_trace steps from the first n_max nodes of its walk and names the
+    source exactly when it lies at a distance d < n_max. The first phase
+    steps, level by level, from every node that some start reaches in fewer
+    than n_max steps: the nodes the n_max traces step from, each once. The
+    second phase memoizes, per stepped node, its source and distance to it,
+    or None where the walk cycles or leaves the stepped nodes, which puts
+    its source (if any) past every start's fuel.
+    """
+    step: Dict[_Node, Optional[_Node]] = {}
+    level: List[_Node] = [("B", n) for n in range(n_max)]
+    for _ in range(n_max):
+        reached = []
+        for node in level:
+            if node in step:
+                continue
+            kind, value = node
+            if kind == "A":
+                t = p.f1_preimage(value)
+                step[node] = None if t is None else ("B", t)
+            else:
+                s = p.f0_preimage(value)
+                step[node] = None if s is None else ("A", s)
+            if step[node] is not None:
+                reached.append(step[node])
+        level = reached
+
+    source: Dict[_Node, Optional[Tuple[str, int]]] = {}
+    for n in range(n_max):
+        walk: List[_Node] = []
+        node: Optional[_Node] = ("B", n)
+        while node in step and node not in source:
+            source[node] = None  # stays None if this walk meets it again
+            walk.append(node)
+            node = step[node]
+        if node is None:  # the walk's last node is its source
+            end: Optional[Tuple[str, int]] = (f"{walk[-1][0]}-source", 0)
+            source[walk.pop()] = end
+        else:
+            end = source.get(node)
+        if end is not None:
+            origin, d = end
+            for k, x in enumerate(reversed(walk), 1):
+                source[x] = (origin, d + k)
+    return [s[0] if s is not None and s[1] < n_max else "unresolved"
+            for s in (source[("B", n)] for n in range(n_max))]
+
+
 def gadget_llpo(g: LazySeq, verified_prefix: int = 8) -> BoundedInjPair:
     """The bounded-injection pair whose Banach bijection reads off the parity
     of the first zero of g at position 1.
@@ -380,6 +433,9 @@ def verify_banach(p: BoundedInjPair, h: PartialBijection, n_max: int) -> BanachR
     A value n < n_max is obligated when its chain (traced from the value
     side) resolves within n_max: the resolution dictates the unique element
     that must cover n, and if that element lies in h's domain it must do so.
+    The obligations come from one memoized pass over the chains, which
+    reads what chain_trace(p, n, "B", n_max) reads for every n and gives
+    the same origins; chain_trace stays the independent oracle.
     """
     report = BanachReport(checked_up_to=n_max)
     seen: Dict[int, int] = {}
@@ -397,11 +453,10 @@ def verify_banach(p: BoundedInjPair, h: PartialBijection, n_max: int) -> BanachR
         if tag == VIA_F0 and not ok0 or tag == VIA_F1_INV and not ok1:
             report.violations.append(("tag-mismatch", f"({m},{n},{tag})"))
 
-    for n in range(n_max):
-        cls = chain_trace(p, n, "B", n_max)
-        if cls.origin == "A-source":
+    for n, origin in enumerate(_chain_origins(p, n_max)):
+        if origin == "A-source":
             coverer = p.f0_preimage(n)
-        elif cls.origin == "B-source":
+        elif origin == "B-source":
             coverer = p.f1(n)
         else:
             continue

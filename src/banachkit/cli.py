@@ -76,18 +76,6 @@ positive_int = int_at_least(1)  # counts and bounds
 level_int = int_at_least(0)  # net levels
 
 
-def _fuel_bound(flag: Optional[int]) -> int:
-    """The flag's value, else BANACHKIT_FUEL, else 256 (an empty variable
-    counts as unset). Read only by the commands that spend fuel."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(FUEL_ENV) or "256"
-    try:
-        return positive_int(raw)
-    except argparse.ArgumentTypeError:
-        raise ParseError(raw, 0, f"an integer >= 1 in {FUEL_ENV}") from None
-
-
 class RunReport:
     """op, input echo, output, effective bounds, violations, elapsed_ms."""
 
@@ -108,6 +96,24 @@ class RunReport:
             "violations": self.violations,
             "elapsed_ms": int((time.monotonic() - self._start) * 1000),
         }
+
+    def fuel(self, flag: Optional[int], key: str = "fuel") -> Fuel:
+        """The flag's value, else BANACHKIT_FUEL, else 256 (an empty variable
+        counts as unset), recorded in bounds under key with its source. Read
+        only by the commands that spend fuel."""
+        raw = os.environ.get(FUEL_ENV)
+        if flag is not None:
+            bound, source = flag, "flag"
+        elif raw:
+            try:
+                bound, source = positive_int(raw), "env"
+            except argparse.ArgumentTypeError:
+                raise ParseError(raw, 0, f"an integer >= 1 in {FUEL_ENV}") from None
+        else:
+            bound, source = 256, "default"
+        self.bounds[key] = bound
+        self.bounds["fuel_source"] = source
+        return Fuel(bound)
 
     def emit(self, fmt: str) -> None:
         data = self.finish()
@@ -177,8 +183,7 @@ def _apply_promise(s: LazySeq, promise: Optional[str]) -> LazySeq:
 def cmd_oracle(args) -> int:
     report = RunReport("oracle." + args.op, {"seq": args.seq, "promise": args.promise})
     s = _apply_promise(parse_seq(args.seq), args.promise)
-    fuel = Fuel(_fuel_bound(args.fuel))
-    report.bounds["fuel"] = fuel.bound
+    fuel = report.fuel(args.fuel)
     ops = {"lpo": lpo, "mu0": mu0, "mu": mu, "llpomin": omniscience.llpomin}
     result = ops[args.op](s, fuel)
     report.output = _oracle_json(result)
@@ -187,11 +192,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_range(args) -> int:
-    fuel = Fuel(_fuel_bound(args.fuel))
     f = parse_fn(args.f)
     if args.action == "verify":
         report = RunReport("range.verify", {"f": args.f, "aux": args.aux, "kind": args.kind})
-        report.bounds["fuel"] = fuel.bound
+        fuel = report.fuel(args.fuel)
         report.bounds["n_max"] = args.n_max
         aux = parse_fn(_need(args.aux, "--aux", "auxiliary function"))
         out = ranges.verify_range_aux(f, aux, args.kind, args.n_max, fuel)
@@ -201,7 +205,7 @@ def cmd_range(args) -> int:
         return EXIT_OK if out.ok else EXIT_VERIFY
     if args.action == "translate":
         report = RunReport("range.translate", {"f": args.f, "aux": args.aux, "dir": args.dir})
-        report.bounds["fuel"] = fuel.bound
+        fuel = report.fuel(args.fuel)
         aux = parse_fn(_need(args.aux, "--aux", "auxiliary function"))
         exhausted = False
         if args.dir == "beta-to-rho":
@@ -215,7 +219,7 @@ def cmd_range(args) -> int:
         report.emit(args.format)
         return EXIT_EXHAUSTED if exhausted else EXIT_OK
     report = RunReport("range.bounding", {"f": args.f})
-    report.bounds["fuel"] = fuel.bound
+    fuel = report.fuel(args.fuel)
     res = ranges.bounding_b(f, fuel)
     vals = [res(n) for n in range(args.show)]
     report.output = [_oracle_json(r) for r in vals]
@@ -235,8 +239,7 @@ _PIPELINES = {
 def cmd_reduce(args) -> int:
     report = RunReport("reduce." + args.pipeline, {"seq": args.seq, "promise": args.promise})
     s = _apply_promise(parse_seq(args.seq), args.promise)
-    fuel = Fuel(_fuel_bound(args.fuel))
-    report.bounds["fuel"] = fuel.bound
+    fuel = report.fuel(args.fuel)
     if args.pipeline == "grilliot":
         result = omniscience.grilliot_lpo(omniscience.llpomin_realizer(), s, fuel)
     else:
@@ -246,11 +249,11 @@ def cmd_reduce(args) -> int:
     return EXIT_OK if result.found else EXIT_EXHAUSTED
 
 
-def _pair_from_args(args) -> banach_nat.BoundedInjPair:
+def _pair_from_args(args, report: RunReport) -> banach_nat.BoundedInjPair:
     f0, f1 = parse_fn(args.f0), parse_fn(args.f1)
     if args.b0 and args.b1:
         return banach_nat.BoundedInjPair(f0, f1, parse_fn(args.b0), parse_fn(args.b1))
-    return banach_nat.unbounded_pair(f0, f1, Fuel(_fuel_bound(args.bounds_fuel)))
+    return banach_nat.unbounded_pair(f0, f1, report.fuel(args.bounds_fuel, "bounds_fuel"))
 
 
 def _depth(args) -> int:
@@ -264,7 +267,7 @@ def _depth(args) -> int:
 
 def cmd_banach_nat(args) -> int:
     report = RunReport("banach-nat", {"f0": args.f0, "f1": args.f1})
-    pair = _pair_from_args(args)
+    pair = _pair_from_args(args, report)
     depth = _depth(args)
     report.bounds["n_max"] = args.n_max
     report.bounds["depth"] = depth
@@ -358,8 +361,7 @@ def cmd_metric(args) -> int:
         return EXIT_OK if valid else EXIT_VERIFY
     report = RunReport("metric.banach-h", {"space": args.space, "pair": args.fun, "x": args.x})
     report.bounds["level"] = args.level
-    fuel = Fuel(_fuel_bound(args.fuel))
-    report.bounds["fuel"] = fuel.bound
+    fuel = report.fuel(args.fuel)
     res = banach_H(space, F, G, _parse_point(space, args.x, "--x"), args.level, fuel)
     report.output = res.to_json()
     report.emit(fmt)

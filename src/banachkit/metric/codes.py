@@ -99,8 +99,9 @@ def decode_code(entries: Sequence[CodeEntry], X: CompactSpace,
     avals = [_a_val(X, e) for e in frozen]
 
     def at_precision(x: Value, m: int) -> Value:
+        slack = Dyadic.pow2(-m - 1)
         for e, av, bv in zip(frozen, avals, bvals):
-            if e.s < Dyadic.pow2(-m - 1) and X.dist_lt(x, av, e.r):
+            if e.s < slack and X.dist_lt(x, av, e.r):
                 return bv
         raise NotTotalError(m)
 

@@ -177,11 +177,12 @@ def test_criterion_6_translator_oracle_equivalence():
 
 
 def test_criterion_7_tree_chain_cross_check():
-    crit = Criterion(7, "tree bijection matches chain directions, 200 pairs")
+    crit = Criterion(7, "tree bijection verifies and matches chain directions, 200 pairs")
     rng = random.Random(7)
     for case in range(200):
         pair = random_shift_pair(rng)
         h = bn.banach_bijection_nat(pair, 64, 256)
+        assert bn.verify_banach(pair, h, 64).ok, f"case {case}"
         for m in range(64):
             cls = bn.chain_trace(pair, m, "A", 512)
             assert cls.origin != "unresolved", f"case {case}: chain {m} unresolved"

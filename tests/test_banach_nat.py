@@ -344,6 +344,196 @@ class TestChainOracleAgreement:
             assert h.tags[m] == bn.VIA_F0
 
 
+def reference_verify(p, h, n_max):
+    """verify_banach's violations, with one chain_trace per obligation."""
+    violations = []
+    seen = {}
+    for m in sorted(h.forward):
+        n = h.forward[m]
+        if n in seen:
+            violations.append(("not-injective", f"{seen[n]} and {m} both map to {n}"))
+        seen[n] = m
+        ok0 = p.f0(m) == n
+        ok1 = p.f1(n) == m
+        if not (ok0 or ok1):
+            violations.append(("banach-condition", f"({m},{n})"))
+        tag = h.tags.get(m)
+        if tag == bn.VIA_F0 and not ok0 or tag == bn.VIA_F1_INV and not ok1:
+            violations.append(("tag-mismatch", f"({m},{n},{tag})"))
+    for n in range(n_max):
+        cls = bn.chain_trace(p, n, "B", n_max)
+        if cls.origin == "A-source":
+            coverer = p.f0_preimage(n)
+        elif cls.origin == "B-source":
+            coverer = p.f1(n)
+        else:
+            continue
+        if coverer is None or coverer not in h.forward:
+            continue
+        if h.forward[coverer] != n:
+            violations.append(("surjectivity", f"{n} lost its resolved coverer {coverer}"))
+    return violations
+
+
+def cyclic_pair(rng):
+    """Both maps permute each block in place, so every chain cycles; at block
+    64 some cycles are longer than the fuel."""
+    block = rng.choice([4, 8, 64])
+    b = LazySeq(lambda n: n + block)
+    return bn.BoundedInjPair(block_permutation(rng.randrange(1 << 20), block),
+                             block_permutation(rng.randrange(1 << 20), block),
+                             b, b, verified_prefix=4)
+
+
+def long_chain_pair(rng):
+    """f0 permutes each block in place and f1 shifts blocks up, so the trace
+    from ("B", n) reaches its A-source in block 0 after 2 * (n // block) + 1
+    steps: past the fuel n_max for some n < n_max, and exactly n_max for
+    n = (n_max - 1) // 2 at block 1 and n_max odd."""
+    block = rng.choice([1, 2, 3])
+    return bn.BoundedInjPair(block_permutation(rng.randrange(1 << 20), block),
+                             block_shift_injection(rng.randrange(1 << 20), block),
+                             LazySeq(lambda n: n + block), IDENT, verified_prefix=4)
+
+
+def climbing_pair(rng):
+    """f0(t) = t - 1 (and f0(0) = 0), f1 skips every (r+1)-th value from r:
+    traces climb from ("B", n) through ("A", n + 1), so what they read grows
+    with the fuel, until f1 skips a value (an A-source) or B 0 cycles."""
+    r = rng.randrange(1, 80)
+    return bn.BoundedInjPair(LazySeq(lambda t: max(t - 1, 0)), LazySeq(lambda t: t + t // r),
+                             LazySeq(lambda n: n + 1), IDENT,
+                             verified_prefix=0)
+
+
+CHAIN_FAMILIES = (random_shift_pair, TestSolverFuzz.random_garbage_pair,
+                  cyclic_pair, long_chain_pair, climbing_pair)
+
+
+class Recording(LazySeq):
+    """A sequence that records the indices its generator is called at."""
+
+    def __init__(self, generator, **kwargs):
+        self.evaluated = set()
+        super().__init__(lambda n: self.evaluated.add(n) or generator(n), **kwargs)
+
+
+def _perturbed(h, rng):
+    """h and three mutants: a dropped coverer, a swapped pair, a retagged entry."""
+    yield h
+    fwd, tags = dict(h.forward), dict(h.tags)
+    if len(fwd) < 2:
+        return
+    m, k = rng.sample(sorted(fwd), 2)
+    dropped = dict(fwd)
+    dropped[m] = max(fwd.values()) + 1
+    yield bn.PartialBijection(dropped, tags)
+    swapped = dict(fwd)
+    swapped[m], swapped[k] = fwd[k], fwd[m]
+    yield bn.PartialBijection(swapped, tags)
+    retagged = dict(tags)
+    retagged[m] = bn.VIA_F1_INV if tags[m] == bn.VIA_F0 else bn.VIA_F0
+    yield bn.PartialBijection(fwd, retagged)
+
+
+class TestChainOrigins:
+    """The one-pass classifier behind verify_banach, against chain_trace."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 17, 64])
+    def test_matches_chain_trace(self, n_max):
+        rng = random.Random(1000 + n_max)
+        origins = set()
+        for case in range(30):
+            for family in CHAIN_FAMILIES:
+                p = family(rng)
+                want = [bn.chain_trace(p, n, "B", n_max).origin for n in range(n_max)]
+                assert bn._chain_origins(p, n_max) == want, (family.__name__, case)
+                origins.update(want)
+        # an A-source lies at least one step from a B start, past fuel 1
+        expected = {"B-source", "unresolved"} if n_max == 1 else \
+            {"A-source", "B-source", "unresolved"}
+        assert origins == expected
+
+    def test_source_at_exactly_the_fuel_is_unresolved(self):
+        # block 1: f0 = identity, f1 = succ, so ("B", n) lies 2n + 1 steps
+        # from the A-source 0, and n = 2 sits exactly at the fuel 5
+        p = bn.BoundedInjPair(block_permutation(0, 1), block_shift_injection(0, 1),
+                              LazySeq(lambda n: n + 1), IDENT)
+        assert bn._chain_origins(p, 5) == ["A-source", "A-source"] + ["unresolved"] * 3
+        assert bn.chain_trace(p, 2, "B", 6).origin == "A-source"
+
+    def test_violations_match_per_n_reference(self):
+        rng = random.Random(41)
+        kinds = set()
+        for n_max in (1, 2, 5, 17, 64):
+            for _ in range(6):
+                for family in CHAIN_FAMILIES:
+                    p = family(rng)
+                    try:
+                        h = bn.banach_bijection_nat(p, n_max)
+                    except VerificationError:
+                        continue  # a garbage pair may have no path, or no injective one
+                    for hm in _perturbed(h, rng):
+                        want = reference_verify(p, hm, n_max)
+                        assert bn.verify_banach(p, hm, n_max).violations == want
+                        kinds.update(kind for kind, _ in want)
+        assert {"surjectivity", "banach-condition", "tag-mismatch"} <= kinds
+
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 17, 64])
+    def test_reads_match_chain_trace(self, n_max):
+        # each trace and the pass read through fresh recording views, so
+        # no memo that one filled hides a read of the other
+        rng = random.Random(2000 + n_max)
+        for case in range(10):
+            for family in CHAIN_FAMILIES:
+                p = family(rng)
+
+                def viewed():
+                    seqs = [Recording(s) for s in (p.f0, p.f1, p.b0, p.b1)]
+                    return bn.BoundedInjPair(*seqs, verified_prefix=0), seqs
+
+                q, want = viewed()
+                for n in range(n_max):
+                    bn.chain_trace(q, n, "B", n_max)
+                q, got = viewed()
+                bn._chain_origins(q, n_max)
+                assert [s.evaluated for s in got] == [s.evaluated for s in want], \
+                    (family.__name__, case)
+
+    def test_reads_match_per_n_reference(self, monkeypatch):
+        made = []
+
+        class Made(Recording):
+            def __init__(self, generator, **kwargs):
+                super().__init__(generator, **kwargs)
+                made.append(self)
+
+        def reads(g_head, g_tail, check):
+            made.clear()
+            p = bn.gadget_llpo(Made(UltimatelyConstantSeq(g_head, g_tail), name="g"))
+            h = bn.banach_bijection_nat(p, 70, 280)
+            violations = check(p, h, 70)
+            return violations, [(s.name, s.evaluated) for s in made]
+
+        monkeypatch.setattr(bn, "LazySeq", Made)
+        rng = random.Random(16)
+        for _ in range(16):
+            s = rng.randrange(65)
+            head, tail = tuple(rng.randint(1, 9) for _ in range(s)) + (0,), rng.randrange(3)
+            want = reads(head, tail, reference_verify)
+            got = reads(head, tail, lambda p, h, n: bn.verify_banach(p, h, n).violations)
+            assert got == want, head
+
+    def test_verify_does_not_trace(self, monkeypatch):
+        def no_trace(*args):
+            raise AssertionError("verify_banach called chain_trace")
+
+        p = bn.gadget_llpo(parse_seq("1,1,0;0"))
+        h = bn.banach_bijection_nat(p, 16)
+        monkeypatch.setattr(bn, "chain_trace", no_trace)
+        assert bn.verify_banach(p, h, 16).ok
+
+
 class TestDiagram:
     @pytest.mark.parametrize("g_text,golden", [
         (None, "figure1a.txt"),

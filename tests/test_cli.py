@@ -208,6 +208,51 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("cap error: ")
 
 
+# every command that spends fuel, the flag that sets it and its bounds key
+FUEL_COMMANDS = [
+    (["oracle", "--op", "lpo", "--seq", "1;0"], "--fuel", "fuel"),
+    (["range", "verify", "--f", "double", "--aux", "const:1", "--n-max", "4"], "--fuel", "fuel"),
+    (["range", "translate", "--f", "double", "--aux", "const:1", "--dir", "rho-to-beta",
+      "--show", "2"], "--fuel", "fuel"),
+    (["range", "bounding", "--f", "double", "--show", "2"], "--fuel", "fuel"),
+    (["reduce", "--pipeline", "grilliot", "--seq", "1;0"], "--fuel", "fuel"),
+    (["banach-nat", "--f0", "succ", "--f1", "succ", "--n-max", "2"], "--bounds-fuel",
+     "bounds_fuel"),
+    (["metric", "banach-h", "--x", "1/2^1", "--level", "2"], "--fuel", "fuel"),
+]
+
+
+class TestFuelSource:
+    @staticmethod
+    def bounds(capsys, with_flag=False):
+        for argv, flag, key in FUEL_COMMANDS:
+            _, data = run_json(capsys, argv + ([flag, "12"] if with_flag else []))
+            yield data["bounds"][key], data["bounds"]["fuel_source"]
+
+    def test_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("BANACHKIT_FUEL", "9")
+        assert set(self.bounds(capsys, with_flag=True)) == {(12, "flag")}
+
+    def test_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("BANACHKIT_FUEL", "9")
+        assert set(self.bounds(capsys)) == {(9, "env")}
+
+    @pytest.mark.parametrize("raw", [None, ""])
+    def test_default(self, capsys, monkeypatch, raw):
+        # an empty variable counts as unset
+        if raw is None:
+            monkeypatch.delenv("BANACHKIT_FUEL", raising=False)
+        else:
+            monkeypatch.setenv("BANACHKIT_FUEL", raw)
+        assert set(self.bounds(capsys)) == {(256, "default")}
+        # commands that spend no fuel report no source
+        _, data = run_json(capsys, ["banach-nat", "--f0", "succ", "--f1", "succ",
+                                    "--b0", "identity", "--b1", "identity", "--n-max", "4"])
+        assert "fuel_source" not in data["bounds"]
+        _, data = run_json(capsys, ["gadget", "--g", "1,0;0", "--n-max", "4"])
+        assert "fuel_source" not in data["bounds"]
+
+
 class TestSpecExamples:
     def test_gadget_even_case(self, capsys):
         code, data = run_json(capsys, ["gadget", "--g", "1,1,0;0"])
