@@ -47,7 +47,8 @@ class BoundedInjPair:
 
     verified_prefix bounds the eager sanity check only: injectivity and
     bounding soundness on [0, verified_prefix). The functional stays total on
-    garbage inputs; deeper violations surface later as NoPath.
+    garbage inputs; deeper violations surface later in banach_bijection_nat,
+    as NoPathError or as the plain VerificationError of a non-injective map.
     """
 
     f0: LazySeq
@@ -221,8 +222,10 @@ def banach_bijection_nat(p: BoundedInjPair, n_max: int,
     """Leftmost-path Banach bijection on the window [0, depth).
 
     depth defaults to 4 * n_max, which is safely above the distance the
-    forcing clauses propagate in the constructions used here. The returned
-    map satisfies the Banach condition by construction and is injective.
+    forcing clauses propagate in the constructions used here. The map
+    satisfies the Banach condition by construction and is injective; a pair
+    broken past its verified prefix raises NoPathError or, for a
+    non-injective map, a plain VerificationError (the CLI exits 1 on both).
     """
     if depth is None:
         depth = 4 * n_max

@@ -15,7 +15,7 @@ compatible (d(b, b') <= s + s').
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import NotTotalError, VerificationError
 from ..streams import LazySeq
@@ -31,23 +31,15 @@ class CodeEntry:
     n: int
     a: Tuple[int, int]  # (level, id) in the domain space
     r: Dyadic
-    b: Tuple[int, int]  # (level, id) in the codomain space
+    b: Tuple[int, int]  # (level, id) in the same space: codes are of self-maps
     s: Dyadic
 
 
-def _a_val(X: CompactSpace, e: CodeEntry) -> Value:
-    return X.net_point(*e.a)
-
-
-def _b_val(Y: CompactSpace, e: CodeEntry) -> Value:
-    return Y.net_point(*e.b)
-
-
-def _check_pairwise(entries: Sequence[CodeEntry], X: CompactSpace, Y: CompactSpace):
-    avals = [_a_val(X, e) for e in entries]
-    bvals = [_b_val(Y, e) for e in entries]
+def _check_pairwise(entries: Sequence[CodeEntry], X: CompactSpace):
+    avals = [X.net_point(*e.a) for e in entries]
+    bvals = [X.net_point(*e.b) for e in entries]
     n = len(entries)
-    if X.kind == "interval" and Y.kind == "interval":
+    if X.kind == "interval":
         # one power-of-two denominator makes the quadratic sweep integer
         # arithmetic (still exact)
         scale = 0
@@ -71,7 +63,7 @@ def _check_pairwise(entries: Sequence[CodeEntry], X: CompactSpace, Y: CompactSpa
                 continue
             # ball of entry j inside ball of entry i forces compatible values
             if X.dist(avals[i], avals[j]) + entries[j].r < entries[i].r \
-                    and Y.dist(bvals[i], bvals[j]) > entries[i].s + entries[j].s:
+                    and X.dist(bvals[i], bvals[j]) > entries[i].s + entries[j].s:
                 _raise_inconsistent(i, j)
 
 
@@ -81,8 +73,7 @@ def _raise_inconsistent(i: int, j: int):
         "coded slack on nested balls")
 
 
-def decode_code(entries: Sequence[CodeEntry], X: CompactSpace,
-                Y: Optional[CompactSpace] = None) -> UCFun:
+def decode_code(entries: Sequence[CodeEntry], X: CompactSpace) -> UCFun:
     """Decode a finite code into a UCFun.
 
     f(x) at precision m is the b of the first enumerated quintuple with
@@ -92,16 +83,15 @@ def decode_code(entries: Sequence[CodeEntry], X: CompactSpace,
     The attached modulus is recomputed from the nets on first use, which is
     the honest option for a function known only through its code.
     """
-    Y = Y or X
-    _check_pairwise(entries, X, Y)
+    _check_pairwise(entries, X)
     frozen = list(entries)
-    bvals = [_b_val(Y, e) for e in frozen]
-    avals = [_a_val(X, e) for e in frozen]
+    bvals = [X.net_point(*e.b) for e in frozen]
+    avals = [X.net_point(*e.a) for e in frozen]
 
     def at_precision(x: Value, m: int) -> Value:
         slack = Dyadic.pow2(-m - 1)
         for e, av, bv in zip(frozen, avals, bvals):
-            if e.s < slack and X.dist_lt(x, av, e.r):
+            if e.s < slack and X.dist(x, av) < e.r:
                 return bv
         raise NotTotalError(m)
 
@@ -115,23 +105,21 @@ def decode_code(entries: Sequence[CodeEntry], X: CompactSpace,
     return fn
 
 
-def check_code(fn: UCFun, entries: Sequence[CodeEntry], X: CompactSpace,
-               Y: Optional[CompactSpace] = None, guard: int = 2) -> List[int]:
+def check_code(fn: UCFun, entries: Sequence[CodeEntry], X: CompactSpace) -> List[int]:
     """Witness the coding inequality d(f(a), b) <= s through approximants:
     for each quintuple, d(f(a)(M), b) <= s + 2^-M, at the deepest precision
-    M <= s's scale + guard that the finite code supports (the limit
-    inequality cannot be tested directly, only its approximant form).
-    Returns the indices of failing quintuples (empty = all witnessed)."""
-    Y = Y or X
+    M <= s's scale + 2 that the finite code supports (the limit inequality
+    cannot be tested directly, only its approximant form). Returns the
+    indices of failing quintuples (empty = all witnessed)."""
     bad = []
     for idx, e in enumerate(entries):
-        a, b = _a_val(X, e), _b_val(Y, e)
-        for M in range(e.s.exp + guard, -1, -1):
+        a, b = X.net_point(*e.a), X.net_point(*e.b)
+        for M in range(e.s.exp + 2, -1, -1):
             try:
                 fa = fn.precision_image(a, M)
             except NotTotalError:
                 continue
-            if Y.dist(fa, b) > e.s + Dyadic.pow2(-M):
+            if X.dist(fa, b) > e.s + Dyadic.pow2(-M):
                 bad.append(idx)
             break
         else:

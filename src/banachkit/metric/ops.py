@@ -95,12 +95,6 @@ def _interval_target(y: Point, m: int) -> Dyadic:
     return y.approx(level)  # proxy with one guard level of slack
 
 
-def _interval_image(F: UCFun, x: Value, m: int) -> Dyadic:
-    if F._value_map is not None:
-        return F.raw_image(x)
-    return F.precision_image(x, m + 2)  # decoded code: two guard levels
-
-
 def _image_matches(X: CompactSpace, F: UCFun, level: int, i: int, y: Point, m: int) -> bool:
     """d(F(x_{level,i}), y) < 2^-m."""
     x = X.net_point(level, i)
@@ -108,13 +102,14 @@ def _image_matches(X: CompactSpace, F: UCFun, level: int, i: int, y: Point, m: i
         yb = _cantor_target_bits(y, m)
         w = F.image_value(x, m + 2)
         return all(w.bit(n) == yb(n) for n in range(m + 1))
-    return X.dist_lt_pow2(_interval_image(F, x, m), _interval_target(y, m), m)
+    # two guard levels for a decoded code; an interval_fun's image is exact
+    return X.dist(F.precision_image(x, m + 2), _interval_target(y, m)) < Dyadic.pow2(-m)
 
 
 def _net_witness_exists(X: CompactSpace, F: UCFun, level: int, y: Point, m: int) -> bool:
     if level > X.max_level:
         raise CapExceededError(f"modulus lookup {level} beyond the space cap {X.max_level}")
-    if X.kind == "cantor" and F.solver:
+    if F.solver:
         return F.find_witness(level, (), _cantor_target_bits(y, m), m) is not None
     return any(_image_matches(X, F, level, i, y, m) for i in range(X.level_count(level)))
 
@@ -163,18 +158,19 @@ def preimage_select(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> Point:
 
     def candidates(m: int, prev: Optional[Value]):
         level = pad(m)
-        if X.kind == "cantor" and F.solver:
+        if F.solver:
             fixed = prev.bits(m) if prev is not None else ()
             for i, _ in F.walk(level, fixed, _cantor_target_bits(y, m), m):
                 yield X.net_point(level, i)
             return
         # double the radius so the superset covers the closed ball, then
         # filter with the exact <= test
-        ids = (X.ids_in_ball(level, prev, Dyadic.pow2(-m).double()) if prev is not None
+        radius = Dyadic.pow2(-m)
+        ids = (X.ids_in_ball(level, prev, radius.double()) if prev is not None
                else range(X.level_count(level)))
         for i in ids:
             x = X.net_point(level, i)
-            if prev is not None and not X.dist_le_pow2(prev, x, m):
+            if prev is not None and radius < X.dist(prev, x):
                 continue
             if _image_matches(X, F, level, i, y, m):
                 yield x
@@ -183,7 +179,7 @@ def preimage_select(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> Point:
         # every cap is checked before any search, so a level past the cap
         # raises even where a smaller j would already fail
         levels = [pad(j) for j in range(m + 1, m_max + 1)]
-        if X.kind == "cantor" and F.solver:
+        if F.solver:
             # One search at j = m_max covers each j in (m, m_max]: its witness,
             # truncated or zero-padded to level pad(j), is a witness at j.
             # - causality: image bits 0..j read only input bits 0..j;
@@ -193,10 +189,11 @@ def preimage_select(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> Point:
             #   (the Point contract; past y's cap both are its last one).
             return not levels or F.find_witness(
                 levels[-1], cand.bits(m + 3), _cantor_target_bits(y, m_max), m_max) is not None
+        radius = Dyadic.pow2(-(m + 2))
         return all(
-            any(X.dist_lt_pow2(X.net_point(level, i), cand, m + 2)
+            any(X.dist(X.net_point(level, i), cand) < radius
                 and _image_matches(X, F, level, i, y, j)
-                for i in X.ids_in_ball(level, cand, Dyadic.pow2(-(m + 2))))
+                for i in X.ids_in_ball(level, cand, radius))
             for j, level in enumerate(levels, m + 1))
 
     def compute_level(m: int, below: List[Value]) -> Value:
@@ -222,7 +219,7 @@ def _cap_images(X: CompactSpace, F: UCFun, cap: int) -> Tuple[np.ndarray, int]:
     """
     ids = range(X.level_count(cap))
     if X.kind == "interval":
-        images = [_interval_image(F, X.net_point(cap, i), cap + 2) for i in ids]
+        images = [F.precision_image(X.net_point(cap, i), cap + 4) for i in ids]
         s = max(cap + 2, max(f.exp for f in images))
         return np.array([f.scaled_int(s) for f in images], dtype=np.int64), s
     if F.solver:

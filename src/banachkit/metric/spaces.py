@@ -5,9 +5,9 @@ and every point of the space lies strictly within 2^-j of one of them. Both
 constructions push one level deeper than the naive grid so that the net
 inequality is strict, which the deeper algorithms rely on.
 
-Points are rapidly converging approximation streams. Exact-backed points
-(a dyadic value, an eventually periodic bit stream) additionally support
-exact threshold comparisons, which is what keeps every 2^-k test decidable.
+Points are rapidly converging approximation streams. Net values (a dyadic,
+an eventually periodic bit stream) have an exact distance, a Dyadic, so
+every 2^-k test on them is a decidable Dyadic comparison.
 """
 
 from __future__ import annotations
@@ -95,8 +95,6 @@ class Point:
     """Approximation-stream view of a space element: approx(m) is an exact
     net-point value within 2^-m of the element, nonincreasing in m."""
 
-    exact = False
-
     def approx(self, m: int):
         raise NotImplementedError
 
@@ -104,8 +102,6 @@ class Point:
 @dataclass(frozen=True)
 class IntervalPoint(Point):
     value: Dyadic
-
-    exact = True
 
     def approx(self, m: int) -> Dyadic:
         # nearest level-m grid value, ties toward the lower grid point
@@ -125,8 +121,6 @@ class IntervalPoint(Point):
 @dataclass(frozen=True)
 class CantorPoint(Point):
     stream: BitStream
-
-    exact = True
 
     def approx(self, m: int) -> BitStream:
         return BitStream.word(self.stream.bits(m + 1))
@@ -178,16 +172,7 @@ class CompactSpace:
         raise NotImplementedError
 
     def dist(self, a: Value, b: Value) -> Dyadic:
-        raise NotImplementedError
-
-    def dist_lt_pow2(self, a: Value, b: Value, m: int) -> bool:
-        """d(a, b) < 2^-m, decided exactly."""
-        raise NotImplementedError
-
-    def dist_le_pow2(self, a: Value, b: Value, m: int) -> bool:
-        raise NotImplementedError
-
-    def dist_lt(self, a: Value, b: Value, r: Dyadic) -> bool:
+        """d(a, b), exactly."""
         raise NotImplementedError
 
     def round_value(self, v: Value, level: int) -> Value:
@@ -226,15 +211,6 @@ class UnitInterval(CompactSpace):
     def dist(self, a: Dyadic, b: Dyadic) -> Dyadic:
         return abs(a - b)
 
-    def dist_lt_pow2(self, a: Dyadic, b: Dyadic, m: int) -> bool:
-        return abs(a - b) < Dyadic.pow2(-m)
-
-    def dist_le_pow2(self, a: Dyadic, b: Dyadic, m: int) -> bool:
-        return abs(a - b) <= Dyadic.pow2(-m)
-
-    def dist_lt(self, a: Dyadic, b: Dyadic, r: Dyadic) -> bool:
-        return abs(a - b) < r
-
     def round_value(self, v: Dyadic, level: int) -> Dyadic:
         return IntervalPoint(v).approx(level)
 
@@ -270,22 +246,6 @@ class CantorSpace(CompactSpace):
     def dist(self, a: BitStream, b: BitStream) -> Dyadic:
         t = a.first_disagreement(b)
         return Dyadic.zero() if t is None else Dyadic.pow2(-t)
-
-    def dist_lt_pow2(self, a: BitStream, b: BitStream, m: int) -> bool:
-        # d < 2^-m iff the streams agree on indices 0..m
-        return all(a.bit(i) == b.bit(i) for i in range(m + 1))
-
-    def dist_le_pow2(self, a: BitStream, b: BitStream, m: int) -> bool:
-        return all(a.bit(i) == b.bit(i) for i in range(m))
-
-    def dist_lt(self, a: BitStream, b: BitStream, r: Dyadic) -> bool:
-        if not Dyadic.zero() < r:
-            return False
-        # least k with 2^-k < r; agreement below k decides d < r
-        k = 0
-        while not Dyadic.pow2(-k) < r:
-            k += 1
-        return all(a.bit(i) == b.bit(i) for i in range(k))
 
     def round_value(self, v: BitStream, level: int) -> BitStream:
         return BitStream.word(v.bits(level + 1))
@@ -326,9 +286,10 @@ def verify_net_property(X: CompactSpace, up_to_level: int) -> bool:
     """Exhaustively: every level-(j+1) point lies strictly within 2^-j of
     some level-j point (finite proxy of the density statement)."""
     for j in range(up_to_level):
+        radius = Dyadic.pow2(-j)
         for i in range(X.level_count(j + 1)):
             z = X.net_point(j + 1, i)
-            if not any(X.dist_lt_pow2(X.net_point(j, k), z, j)
+            if not any(X.dist(X.net_point(j, k), z) < radius
                        for k in range(X.level_count(j))):
                 return False
     return True

@@ -1,12 +1,15 @@
 """Uniformly continuous self-maps of a net-presented space.
 
 A UCFun acts on net points at a requested output precision and carries a
-modulus sequence. Two constructors cover this package's needs:
+modulus sequence. It has one of two forms:
 
-* interval_fun wraps an exact map on dyadics;
-* cantor_fun wraps a bit function where output bit n reads input bits 0..n
-  (so the identity is always a valid modulus). The contract is checked: a
-  bit function that reads a later input bit raises VerificationError.
+* a precision map, f(v, m): a value within 2^-(m+1) of the image of the
+  net value v. decode_code builds one from a finite code; interval_fun
+  wraps an exact map on dyadics as a precision map that ignores m.
+* a causal Cantor bit map (cantor_fun): output bit n reads input bits
+  0..n only (so the identity is always a valid modulus). The contract is
+  checked: a bit map that reads a later input bit raises VerificationError.
+  Only this form is a solver, with witness searches over input prefixes.
 
 A Cantor bit function is evaluated in one place, `UCFun.walk`: a depth-first
 walk over input prefixes that computes image bit d once per prefix of length
@@ -42,9 +45,7 @@ class UCFun:
     exact_range: Optional[Callable[[Point], bool]] = None
     exact_preimage: Optional[Callable[[Point], Point]] = None
 
-    # exact image of a net value (interval: a Dyadic; cantor: bit access);
-    # precision-indexed images serve decoded function codes
-    _value_map: Optional[Callable[[Dyadic], Dyadic]] = None
+    # the function's form, one of the two in the module docstring
     _bit_map: Optional[Callable[[Callable[[int], int], int], int]] = None
     _precision_map: Optional[Callable[[Value, int], Value]] = None
     # modulus profiles by (space kind, level cap); see ops.modulus_of
@@ -54,8 +55,6 @@ class UCFun:
         """The level-out_level representative of F(v), exactly."""
         if self._precision_map is not None:
             return self.space.round_value(self._precision_map(v, out_level), out_level)
-        if self._value_map is not None:
-            return self.space.round_value(self._value_map(v), out_level)
         if not isinstance(v, BitStream):
             raise TypeError(f"expected a bit stream, got {v!r}")
         # image bits 0..out_level read input bits 0..out_level only, so the
@@ -63,14 +62,9 @@ class UCFun:
         (_, image), = self.walk(out_level, v.bits(out_level + 1), None, out_level)
         return self.space.net_point(out_level, image)
 
-    def raw_image(self, v: Value) -> Dyadic:
-        """The exact unrounded image of an interval value."""
-        if self._value_map is None:
-            raise TypeError(f"{self.name} is not an interval value map")
-        return self._value_map(v)
-
     def precision_image(self, v: Value, m: int) -> Value:
-        """f(v)(m) for precision-indexed functions (decoded codes)."""
+        """f(v)(m), unrounded, for a precision map; an interval_fun gives the
+        exact image at every m."""
         if self._precision_map is None:
             raise TypeError(f"{self.name} has no precision-indexed image")
         return self._precision_map(v, m)
@@ -138,7 +132,9 @@ class UCFun:
 
 def interval_fun(space: CompactSpace, fn: Callable[[Dyadic], Dyadic],
                  modulus: LazySeq, name: str = "f", **extras) -> UCFun:
-    return UCFun(space=space, modulus=modulus, name=name, _value_map=fn, **extras)
+    """fn is exact, so the precision map ignores the precision."""
+    return UCFun(space=space, modulus=modulus, name=name,
+                 _precision_map=lambda v, m: fn(v), **extras)
 
 
 def cantor_fun(space: CompactSpace, bit_fn: Callable[[Callable[[int], int], int], int],

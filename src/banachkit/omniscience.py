@@ -261,13 +261,15 @@ def _member_fn(T: TreePredicate) -> Callable[[Tuple[int, ...]], bool]:
     return member if callable(member) else T  # type: ignore[return-value]
 
 
-def wkl_search(T: TreePredicate, depth: int, *,
-               closure_probes: int = 32) -> Optional[Tuple[int, ...]]:
+CLOSURE_PROBES = 32
+
+
+def wkl_search(T: TreePredicate, depth: int) -> Optional[Tuple[int, ...]]:
     """Leftmost member of length `depth` in a 0/1 tree predicate, or None.
 
     Leftmost-first depth search; the path-selector of the uniform tree
     principle is an arbitrary choice, fixed here to leftmost for determinism.
-    At up to closure_probes dead ends, both one-bit extensions are probed and
+    At up to CLOSURE_PROBES dead ends, both one-bit extensions are probed and
     a member extension of a non-member raises NotATreeError (the predicate is
     not downward closed).
     """
@@ -293,7 +295,7 @@ def wkl_search(T: TreePredicate, depth: int, *,
         if member(candidate):
             path.append(bit)
             pending.append(0)
-        elif probes < closure_probes:
+        elif probes < CLOSURE_PROBES:
             # sample the constant-fill extensions of this dead end: any
             # member among them witnesses a downward-closure violation
             probes += 1

@@ -195,6 +195,26 @@ class TestSolverFuzz:
                 got = tuple(fast) if fast is not None else None
                 assert generic == got, f"case {case} depth {depth}"
 
+    def test_broken_pairs_raise_no_path_or_not_injective(self):
+        # a pair broken past its verified prefix either gets a bijection or
+        # raises one of two errors: NoPathError, or the plain
+        # VerificationError of a non-injective map; both occur at this seed
+        rng = random.Random(31)
+        outcomes = set()
+        for case in range(400):
+            p = self.random_garbage_pair(rng)
+            for n_max in (1, 2, 3, 5):
+                try:
+                    bn.banach_bijection_nat(p, n_max, depth=n_max)
+                    outcomes.add("bijection")
+                except NoPathError:
+                    outcomes.add("no-path")
+                except VerificationError as exc:
+                    assert type(exc) is VerificationError, (case, n_max, exc)
+                    assert str(exc).startswith("not injective: "), (case, n_max, exc)
+                    outcomes.add("not-injective")
+        assert outcomes == {"bijection", "no-path", "not-injective"}
+
     def test_tree_member_always_downward_closed(self):
         rng = random.Random(33)
         for _ in range(40):

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -17,6 +20,7 @@ from banachkit.cli import (
 from banachkit.streams import LazySeq, prefix, set_default_cache_cap
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # argv pieces for the fuzz: a flag left out (None), a valid value or any
 # Unicode text, with numbers kept small so that every run is short
@@ -379,6 +383,27 @@ class TestDecodeCommand:
         # the code is constant with value b = 2/2^3 = 1/4
         assert code == EXIT_OK and data["output"]["value"] == "1/2^2"
         assert run(["decode", "--code", str(path), "--check", "--max-level", "10"]) == EXIT_OK
+
+
+class TestModuleEntryPoint:
+    """`python -m banachkit`, through __main__.py and cli.main, in a fresh
+    interpreter."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-m", "banachkit", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_oracle_report(self):
+        done = self.run_module("oracle", "--op", "lpo", "--seq", "1,0;1", "--format", "json")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert json.loads(done.stdout)["op"] == "oracle.lpo"
+
+    def test_parse_error_exit_code(self):
+        done = self.run_module("oracle", "--op", "lpo", "--seq", "1,x;1", "--format", "json")
+        assert done.returncode == EXIT_PARSE
+        assert done.stdout == "" and "parse error" in done.stderr
 
 
 class TestParseFn:

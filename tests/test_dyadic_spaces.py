@@ -122,6 +122,17 @@ class TestUnitInterval:
     def test_embed(self):
         assert self.X.embed(1, 2, 3) == 8  # 1/2 at level 3 is 8/16
 
+    def test_threshold_comparisons(self):
+        # each 2^-k test is a Dyadic comparison on the exact distance
+        a, b = Dyadic(3, 3), Dyadic(5, 4)
+        d = self.X.dist(a, b)
+        assert d == self.X.dist(b, a) == Dyadic(1, 4)
+        assert d < Dyadic.pow2(-3)
+        assert not d < Dyadic.pow2(-4)
+        assert d <= Dyadic.pow2(-4)
+        assert Dyadic.pow2(-5) < d
+        assert d < Dyadic(3, 5) and not d < Dyadic(2, 5)
+
     def test_ids_in_ball(self):
         ids = list(self.X.ids_in_ball(3, Dyadic(1, 1), Dyadic(1, 3)))
         # level-3 grid has step 1/16; |k/16 - 8/16| <= 2/16
@@ -159,10 +170,19 @@ class TestCantorSpace:
     def test_threshold_comparisons(self):
         a = BitStream.word((1, 0, 1, 1))
         b = BitStream.word((1, 0, 1, 0))
-        assert self.X.dist_lt_pow2(a, b, 2)
-        assert not self.X.dist_lt_pow2(a, b, 3)
-        assert self.X.dist_le_pow2(a, b, 3)
-        assert self.X.dist_lt(a, b, Dyadic(1, 2))
+        d = self.X.dist(a, b)
+        assert d < Dyadic.pow2(-2)
+        assert not d < Dyadic.pow2(-3)
+        assert d <= Dyadic.pow2(-3)
+        assert d < Dyadic(1, 2)
+        assert not d < Dyadic.zero()
+        # different cycle lengths: 1(01)* and 10(100)* first differ at index 4
+        d = self.X.dist(BitStream((1,), (0, 1)), BitStream((1, 0), (1, 0, 0)))
+        assert d == Dyadic.pow2(-4)
+        assert d < Dyadic.pow2(-3) and not d < Dyadic.pow2(-4)
+        assert d <= Dyadic.pow2(-4) and Dyadic.pow2(-5) < d
+        assert d < Dyadic(3, 5) and not d < Dyadic(1, 4)
+        assert self.X.dist(BitStream((1, 0), (0,)), BitStream.word((1,))) == Dyadic.zero()
 
     def test_ids_in_ball_is_cylinder(self):
         center = BitStream.word((1, 0, 1))

@@ -34,7 +34,7 @@ from banachkit.metric import (
 )
 from banachkit.corpora import halving_chain_law
 from banachkit.metric.ops import _cantor_target_bits
-from banachkit.metric.ucfun import cantor_fun, interval_fun
+from banachkit.metric.ucfun import UCFun, cantor_fun, interval_fun
 from banachkit.streams import Fuel, LazySeq, UltimatelyConstantSeq, parse_seq
 
 HALF = Dyadic(1, 1)
@@ -102,7 +102,7 @@ class TestPreimageSelect:
             assert abs(p.approx(m) - HALF) <= Dyadic.pow2(-m)
         for m in range(9):
             # clause (1) verbatim, at every produced level
-            assert abs(F.raw_image(p.approx(m)) - QUARTER) < Dyadic.pow2(-m)
+            assert abs(F.precision_image(p.approx(m), m) - QUARTER) < Dyadic.pow2(-m)
 
     def test_identity_recovers_target(self, halving):
         X, _, _ = halving
@@ -120,7 +120,7 @@ class TestPreimageSelect:
         y = F.exact_apply(target)
         p = preimage_select(X, F, y, 24)
         for m in range(2, 9):
-            assert X.dist_le_pow2(p.approx(m), target.stream, m)
+            assert X.dist(p.approx(m), target.stream) <= Dyadic.pow2(-m)
 
     def test_rapid_convergence(self, halving):
         X, F, _ = halving
@@ -145,14 +145,11 @@ class TestPreimageSelect:
 def brute_pairs(X, F, cap):
     """Independent oracle: the distinct (d(u, v), d(F(u), F(v))) over all
     pairs of net points up to cap, levels mixed, in pure dyadic arithmetic.
-    Images are taken as the library takes them: exact for value maps, at
-    precision cap+4 for precision-indexed (decoded) interval maps, and bits
-    0..cap+1 on Cantor space."""
+    Images are taken as the library takes them: at precision cap+4 on the
+    interval (exact for an interval_fun), and bits 0..cap+1 on Cantor space."""
     points = [X.net_point(j, i) for j in range(cap + 1) for i in range(X.level_count(j))]
     if X.kind == "cantor":
         images = [F.image_value(v, cap + 1) for v in points]
-    elif F._value_map is not None:
-        images = [F.raw_image(v) for v in points]
     else:
         images = [F.precision_image(v, cap + 4) for v in points]
     return {(X.dist(u, v), X.dist(fu, fv))
@@ -422,22 +419,39 @@ class TestUCFunInvariant:
             pts = [X.net_point(lvl, i) for i in range(0, X.level_count(lvl), 3)]
             for u in pts:
                 for v in pts:
-                    if X.dist_lt_pow2(u, v, F.modulus(k)):
+                    if X.dist(u, v) < Dyadic.pow2(-F.modulus(k)):
                         fu = F.image_value(u, k + 2)
                         fv = F.image_value(v, k + 2)
-                        assert X.dist_lt_pow2(fu, fv, k)
+                        assert X.dist(fu, fv) < Dyadic.pow2(-k)
 
     def test_bit_queries_on_an_interval_fun_raise(self, halving):
         # real raises, not asserts, so they hold under python -O
         X, F, _ = halving
-        bare = interval_fun(X, None, F.modulus, name="bare")
+        bare = UCFun(space=X, modulus=F.modulus, name="bare")  # no map at all
         zeros = BitStream((), (0,)).bit
         with pytest.raises(TypeError):
             F.find_witness(2, (), zeros, 2)
         with pytest.raises(TypeError):
             next(F.walk(2, (), None, 3))
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="expected a bit stream"):
             bare.image_value(HALF, 2)
+        with pytest.raises(TypeError, match="no precision-indexed image"):
+            bare.precision_image(HALF, 2)
+        with pytest.raises(TypeError, match="not a Cantor bit map"):
+            next(bare.walk(2, (), None, 2))
+
+    @pytest.mark.parametrize("name,fn", [
+        ("halving", lambda v: v.half()),
+        ("square", lambda v: v * v),
+        ("step", lambda v: Dyadic(1) if HALF < v else Dyadic(0)),
+    ])
+    def test_interval_fun_is_a_precision_map_ignoring_m(self, name, fn):
+        X = unit_interval(6)
+        F = interval_fun(X, fn, LazySeq(lambda k: k), name=name)
+        assert not F.solver
+        for v in (Dyadic(0), Dyadic(1, 3), Dyadic(5, 4), HALF, Dyadic(1)):
+            for m in (0, 1, 3, 7, 40):
+                assert F.precision_image(v, m) == fn(v)
 
 
 class TestApplyExamples:
