@@ -14,6 +14,11 @@ only the values searched for: each one's first index, or the bound below
 which it is absent, where the next search for that value starts. So memory
 grows with the number of values searched, not with the number scanned.
 
+A sequence may be shared between threads. A memo hit and a recorded index
+answer take no lock: each is one dict lookup, atomic in CPython, and an entry
+never changes once stored. Scans of the index run one at a time, and a capped
+memo checks its size and inserts under a lock.
+
 The classically non-computable functionals (zero detection, zero selection,
 least zero) are made honest by an explicit search bound ("fuel"): a positive
 answer is always backed by a witness below the bound, and the only way to get
@@ -63,7 +68,16 @@ def set_default_cache_cap(cap: Optional[int]) -> Optional[int]:
 
 
 class LazySeq:
-    """A total function N -> N with a synchronized memo cache.
+    """A total function N -> N, memoized, that threads may share.
+
+    Reads take no lock. A memo hit is one `dict.get` on `_cache`, and a
+    recorded `first_index` answer one on `_first`; CPython makes each atomic.
+    Neither entry changes once stored: the generator is deterministic, it runs
+    outside any lock, and of racing misses on one index the first `setdefault`
+    wins; a `_first` entry is written once, under `_scan_lock`, and holds the
+    least index of its value. `_scan_lock` serializes the scans, which update
+    `_first`, `_scanned` and `_absent` together. `_lock` guards only the
+    check-then-insert of a capped memo, so that it never outgrows its cap.
 
     `no_zero` and `all_zero` are caller-asserted promises about the whole
     (infinite) sequence; they are never derived from the generator. A found
@@ -90,17 +104,18 @@ class LazySeq:
         self.all_zero = all_zero
 
     def __call__(self, n: int) -> int:
-        if n < 0:
-            raise ValueError(f"sequence index must be nonnegative, got {n}")
-        with self._lock:
-            hit = self._cache.get(n)
+        hit = self._cache.get(n)
         if hit is not None:
             return hit
+        if n < 0:
+            raise ValueError(f"sequence index must be nonnegative, got {n}")
         value = self._generator(n)
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"generator produced non-natural value {value!r} at {n}")
+        if self._max_cache is None:
+            return self._cache.setdefault(n, value)
         with self._lock:
-            if self._max_cache is None or len(self._cache) < self._max_cache:
+            if len(self._cache) < self._max_cache:
                 return self._cache.setdefault(n, value)
         return value
 
@@ -111,7 +126,11 @@ class LazySeq:
         and of those only the indices no earlier search has scanned (past the
         memo cap: no earlier search for the same value).
         """
+        t = self._first.get(value)
+        if t is not None:
+            return t if t < bound else None
         with self._scan_lock:
+            # a scan that held the lock before this one may have recorded it
             t = self._first.get(value)
             if t is not None:
                 return t if t < bound else None

@@ -50,6 +50,23 @@ class TestPrefix:
         assert calls == [0, 1, 2, 3]
 
 
+class TestPointQuery:
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_rejects_negative_indices_and_non_natural_values(self, cap):
+        set_default_cache_cap(cap)
+        try:
+            s = LazySeq(lambda n: n - 3)
+        finally:
+            set_default_cache_cap(None)
+        for n in (-1, 2):  # s(2) would be -1
+            with pytest.raises(ValueError):
+                s(n)
+        assert s(5) == 2
+        with pytest.raises(ValueError):
+            s(-1)  # a negative index never hits, so a warm memo still rejects it
+        assert s._cache == {5: 2}
+
+
 class TestDiagonal:
     def test_all_zero_enumeration(self):
         g = diagonal(lambda m: ZEROS)
@@ -202,6 +219,27 @@ class TestFirstIndex:
             assert evaluated == read
         assert len(calls) == len(set(calls))
 
+    @pytest.mark.parametrize("cap", [None, 4])
+    @given(ult_const(), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 24)),
+                                 min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_recorded_entries_are_final_and_least(self, cap, u, queries):
+        # first_index returns a recorded entry without taking its scan lock,
+        # which is sound only if no entry changes once written and each holds
+        # the least index of its value
+        set_default_cache_cap(cap)
+        try:
+            s = LazySeq(u)
+        finally:
+            set_default_cache_cap(None)
+        earlier = {}
+        for value, bound in queries:
+            s.first_index(value, bound)
+            assert s._first.items() >= earlier.items()
+            for v, t in s._first.items():
+                assert linear_first_index(u, v, t + 1, set()) == t
+            earlier = dict(s._first)
+
     def test_shared_between_threads(self):
         values = [(n * n) % 31 for n in range(400)]
         evaluated = []
@@ -243,8 +281,53 @@ class TestConcurrency:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert all(o == out[0] for o in out)
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(out) == 8 and all(o == out[0] for o in out)
+
+    @pytest.mark.parametrize("cap", [None, 16])
+    def test_point_queries_race_first_index(self, cap):
+        values = [(7 * n * n + 3) % 23 for n in range(300)]
+        set_default_cache_cap(cap)
+        try:
+            # sleep(0) hands the interpreter to another thread mid-query
+            s = LazySeq(lambda n: time.sleep(0) or values[n])
+        finally:
+            set_default_cache_cap(None)
+        points = list(range(0, 300, 3))
+        searches = [(v, b) for b in (40, 300, 120) for v in range(23)]
+        expected = ([values[n] for n in points],
+                    [linear_first_index(values.__getitem__, v, b, set()) for v, b in searches])
+        out = []
+
+        def worker(k):
+            # each thread alternates a point query with a search, starting
+            # both lists at its own offset
+            got = ([None] * len(points), [None] * len(searches))
+            for j in range(len(points)):
+                i = (j + 11 * k) % len(points)
+                got[0][i] = s(points[i])
+                i = (j + 5 * k) % len(searches)
+                got[1][i] = s.first_index(*searches[i])
+            out.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(12)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert out == [expected] * 12
+        assert all(values[n] == v for n, v in s._cache.items())
+        if cap is not None:
+            assert len(s._cache) <= cap
+        for v, t in s._first.items():
+            assert values.index(v) == t
 
 
 class TestLiterals:
