@@ -52,7 +52,6 @@ from .streams import (
     mu,
     mu0,
     parse_seq,
-    set_default_cache_cap,
 )
 
 EXIT_OK = 0
@@ -368,12 +367,20 @@ def cmd_metric(args) -> int:
     return EXIT_OK
 
 
+def _net_id(pair) -> tuple:
+    """A quintuple's ball or value id: two JSON naturals, (level, index)."""
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(v) is int and v >= 0 for v in pair)):
+        raise ValueError(f"an id of two naturals, got {pair!r}")
+    return tuple(pair)
+
+
 def _load_code(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        return [CodeEntry(e["n"], tuple(e["a"]), parse_dyadic(e["r"]),
-                          tuple(e["b"]), parse_dyadic(e["s"])) for e in raw]
+        return [CodeEntry(e["n"], _net_id(e["a"]), parse_dyadic(e["r"]),
+                          _net_id(e["b"]), parse_dyadic(e["s"])) for e in raw]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ParseError(path, 0, f"readable JSON quintuple list ({exc})") from exc
 
@@ -414,8 +421,6 @@ def cmd_corpus(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="banachkit")
-    top.add_argument("--max-cache", type=positive_int, default=None,
-                     help="cap the per-sequence memo size (default unbounded)")
 
     def common(p, fuel=True):
         p.add_argument("--format", choices=["json", "text"], default="text")
@@ -509,13 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.max_cache is None:
-            return args.fn(args)
-        previous_cap = set_default_cache_cap(args.max_cache)
-        try:
-            return args.fn(args)
-        finally:
-            set_default_cache_cap(previous_cap)
+        return args.fn(args)
     except ParseError as exc:
         print(exc, file=sys.stderr)  # the message starts "parse error at ..."
         return EXIT_PARSE

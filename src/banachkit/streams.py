@@ -2,22 +2,20 @@
 
 A LazySeq is a total deterministic function N -> N evaluated on demand and
 memoized. It is the carrier for everything else in the package: inputs to
-oracles, characteristic functions, bounding functions, Cantor points.
+oracles, characteristic functions, bounding functions, Cantor points. The
+memo is never trimmed, so its keys are exactly the indices read: the largest
+key is the read horizon, and the memo size the number of evaluations.
 
 Every bounded search of the form "least t < bound with s(t) = v" (witnesses,
 bounding values, first zeros) goes through `LazySeq.first_index`. Each
 sequence keeps one first-occurrence index over the prefix it has scanned, so
 repeated searches cost no rereads. The index reads through the sequence's own
 point query and reads exactly what a linear scan would: s(0..t) for the
-answer t, or s(0..bound-1) when there is none. Past the memo cap it records
-only the values searched for: each one's first index, or the bound below
-which it is absent, where the next search for that value starts. So memory
-grows with the number of values searched, not with the number scanned.
+answer t, or s(0..bound-1) when there is none.
 
 A sequence may be shared between threads. A memo hit and a recorded index
 answer take no lock: each is one dict lookup, atomic in CPython, and an entry
-never changes once stored. Scans of the index run one at a time, and a capped
-memo checks its size and inserts under a lock.
+never changes once stored. Scans of the index run one at a time.
 
 The classically non-computable functionals (zero detection, zero selection,
 least zero) are made honest by an explicit search bound ("fuel"): a positive
@@ -52,32 +50,17 @@ __all__ = [
 ]
 
 
-# default memo cap for new sequences; None = unbounded (determinism is
-# unaffected either way, since generators are deterministic)
-_DEFAULT_CACHE_CAP: Optional[int] = None
-
-
-def set_default_cache_cap(cap: Optional[int]) -> Optional[int]:
-    """Cap the memo size of subsequently created sequences (CLI knob).
-    Returns the cap it replaces."""
-    global _DEFAULT_CACHE_CAP
-    if cap is not None and cap < 1:
-        raise ValueError("cache cap must be positive or None")
-    previous, _DEFAULT_CACHE_CAP = _DEFAULT_CACHE_CAP, cap
-    return previous
-
-
 class LazySeq:
-    """A total function N -> N, memoized, that threads may share.
+    """A total function N -> N, memoized, that threads may share. The memo
+    is never trimmed: its keys are exactly the indices read.
 
     Reads take no lock. A memo hit is one `dict.get` on `_cache`, and a
     recorded `first_index` answer one on `_first`; CPython makes each atomic.
     Neither entry changes once stored: the generator is deterministic, it runs
     outside any lock, and of racing misses on one index the first `setdefault`
     wins; a `_first` entry is written once, under `_scan_lock`, and holds the
-    least index of its value. `_scan_lock` serializes the scans, which update
-    `_first`, `_scanned` and `_absent` together. `_lock` guards only the
-    check-then-insert of a capped memo, so that it never outgrows its cap.
+    least index of its value. `_scan_lock`, the only lock, serializes the
+    scans, which update `_first` and `_scanned` together.
 
     `no_zero` and `all_zero` are caller-asserted promises about the whole
     (infinite) sequence; they are never derived from the generator. A found
@@ -90,14 +73,9 @@ class LazySeq:
             raise ValueError("a sequence cannot promise both no_zero and all_zero")
         self._generator = generator
         self._cache: dict[int, int] = {}
-        self._lock = threading.Lock()
-        self._max_cache = _DEFAULT_CACHE_CAP
-        # first index of every value in s(0..scanned-1) and, past the memo
-        # cap, of each value searched for, which is otherwise absent below
-        # its _absent entry; the index's own lock serializes the scans
+        # first index of every value in s(0..scanned-1)
         self._first: dict[int, int] = {}
         self._scanned = 0
-        self._absent: dict[int, int] = {}
         self._scan_lock = threading.Lock()
         self.name = name
         self.no_zero = no_zero
@@ -112,42 +90,29 @@ class LazySeq:
         value = self._generator(n)
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"generator produced non-natural value {value!r} at {n}")
-        if self._max_cache is None:
-            return self._cache.setdefault(n, value)
-        with self._lock:
-            if len(self._cache) < self._max_cache:
-                return self._cache.setdefault(n, value)
-        return value
+        return self._cache.setdefault(n, value)
 
     def first_index(self, value: int, bound: int) -> Optional[int]:
         """Least t < bound with s(t) = value, or None.
 
         Reads s(0..t) for the answer t, or s(0..bound-1) when there is none,
-        and of those only the indices no earlier search has scanned (past the
-        memo cap: no earlier search for the same value).
+        and of those only the indices no earlier search has scanned.
         """
         t = self._first.get(value)
-        if t is not None:
-            return t if t < bound else None
-        with self._scan_lock:
-            # a scan that held the lock before this one may have recorded it
-            t = self._first.get(value)
-            if t is not None:
-                return t if t < bound else None
-            t = max(self._scanned, self._absent.get(value, 0))
-            cap = self._max_cache
-            while t < bound:
-                v = self(t)
-                if cap is None or t < cap:
-                    self._first.setdefault(v, t)
-                    self._scanned = t + 1
-                if v == value:
-                    self._first[value] = t
-                    return t
-                t += 1
-            if t > self._scanned:
-                self._absent[value] = t
-            return None
+        if t is None:
+            with self._scan_lock:
+                # a scan that held the lock before this one may have recorded it
+                t = self._first.get(value)
+                if t is None:
+                    for t in range(self._scanned, bound):
+                        v = self(t)
+                        self._first.setdefault(v, t)
+                        self._scanned = t + 1
+                        if v == value:
+                            break
+                    else:
+                        return None
+        return t if t < bound else None
 
     def with_no_zero_promise(self) -> "LazySeq":
         """Same sequence, with the caller's word that it has no zero."""

@@ -7,7 +7,7 @@ from banachkit import banach_nat as bn
 from banachkit.corpora import block_permutation, block_shift_injection, random_shift_pair
 from banachkit.errors import NoPathError, VerificationError
 from banachkit.omniscience import llpomin, wkl_search
-from banachkit.streams import Fuel, LazySeq, UltimatelyConstantSeq, parse_seq, set_default_cache_cap
+from banachkit.streams import Fuel, LazySeq, UltimatelyConstantSeq, parse_seq
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -44,18 +44,14 @@ class TestBoundedInjPair:
         assert [p.f0_preimage(n) for n in range(4)] == [None, 0, None, None]
 
     def test_capped_gadget_reads_g_once_per_index(self):
-        # past a binding memo cap, the gadget's f0 and f1 search g for its
-        # first zero with growing bounds; each search starts where the last
-        # one left off, so g's generator runs once per index
+        # the gadget's f0 and f1 search g for its first zero with growing
+        # bounds; each search starts where the last one left off, so g's
+        # generator runs once per index up to the solver's depth
         for depth in (140, 280):
-            previous = set_default_cache_cap(64)
-            try:
-                calls = []
-                g = LazySeq(lambda n: calls.append(n) or 1, name="g")
-                bn.banach_bijection_nat(bn.gadget_llpo(g), depth // 4, depth)
-            finally:
-                set_default_cache_cap(previous)
-            assert sorted(calls) == list(range(depth)), depth
+            calls = []
+            g = LazySeq(lambda n: calls.append(n) or 1, name="g")
+            bn.banach_bijection_nat(bn.gadget_llpo(g), depth // 4, depth)
+            assert calls == list(range(depth)), depth
 
 
 class TestTreeMember:
@@ -261,16 +257,13 @@ class TestGadget:
         assert (p.f0(5), p.f1(5)) == (3, 5)
 
     def test_reads_only_needed_prefix(self):
-        probes = []
-
-        def gen(n):
-            probes.append(n)
-            return 1
-
-        g = LazySeq(gen)
-        p = bn.gadget_llpo(g, verified_prefix=0)
-        p.f0(9), p.f1(9)
-        assert max(probes) <= 9
+        # each value reads only g(0..n); g's memo keys are the indices read
+        for text in (";1", "0;1", "1,0;1", "1,1,0;1", "1,1,1,1,1,1,1,0;0"):
+            for n in range(40):
+                g = parse_seq(text)
+                p = bn.gadget_llpo(g, verified_prefix=0)
+                p.f0(n), p.f1(n)
+                assert set(g._cache) <= set(range(n + 1)), (text, n)
 
     @pytest.mark.parametrize("s", [0, 1, 2, 3, 7, 12])
     def test_soundness(self, s):

@@ -17,7 +17,6 @@ from banachkit.cli import (
     parse_fn,
     run,
 )
-from banachkit.streams import LazySeq, prefix, set_default_cache_cap
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -34,8 +33,6 @@ def one_of(*valid, text=TEXT):
 
 COUNT = one_of("0", "1", "3", "-1", text=NOT_A_NUMBER)
 LEVEL = one_of("0", "2", text=NOT_A_NUMBER)
-# a cap small enough to bind makes the corpus suites slow
-MAX_CACHE = one_of("0", "1000", text=NOT_A_NUMBER)
 SEQ = one_of("1,0;1", ";0", ";1", "1,1,0;0")
 FN = one_of("identity", "succ", "double", "const:1", "1,0;1")
 POINT = one_of("1/2^1", "3/2^2", "1", "1,0;1", ";0")
@@ -117,6 +114,8 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_parse_error(self, capsys):
         assert run(["frobnicate"]) == EXIT_PARSE
+        # so is an unknown flag, such as the memo cap this CLI no longer has
+        assert run(["--max-cache", "4", "gadget", "--g", "1;0"]) == EXIT_PARSE
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--op", "lpo", "--seq", "1;0", "--fuel", "{}"],
@@ -125,7 +124,7 @@ class TestExitCodes:
         ["gadget", "--g", "1;0", "--depth", "{}"],
         ["metric", "modulus", "--max-level", "{}"],
         ["decode", "--code", "c.json", "--max-level", "{}"],
-        ["--max-cache", "{}", "gadget", "--g", "1;0"],
+        ["banach-nat", "--f0", "succ", "--f1", "succ", "--n-max", "{}"],
         ["range", "bounding", "--f", "double", "--show", "{}"],
         ["corpus", "--cases", "{}"],
     ])
@@ -305,25 +304,6 @@ class TestTextReportGolden:
         assert out == (GOLDEN / "report_oracle_mu.txt").read_text()
 
 
-class TestCacheCapFlag:
-    def test_capped_run_still_correct(self, capsys):
-        code, data = run_json(capsys, ["--max-cache", "4", "gadget",
-                                       "--g", "1,1,1,0;0"])
-        assert code == EXIT_OK and data["output"] == {"h1": 1}
-
-    def test_cap_ends_with_the_run(self, capsys):
-        # the flag caps the sequences of its own run only, and gives back
-        # the default it replaced
-        set_default_cache_cap(7)
-        try:
-            assert run(["--max-cache", "4", "oracle", "--op", "lpo", "--seq", "1;0"]) == EXIT_OK
-        finally:
-            assert set_default_cache_cap(None) == 7
-        s = LazySeq(lambda n: n)
-        prefix(s, 10)
-        assert len(s._cache) == 10
-
-
 class TestCorpusCommand:
     def test_all_suites_pass(self, capsys):
         code, data = run_json(capsys, ["corpus", "--suite", "all",
@@ -384,6 +364,17 @@ class TestDecodeCommand:
         assert code == EXIT_OK and data["output"]["value"] == "1/2^2"
         assert run(["decode", "--code", str(path), "--check", "--max-level", "10"]) == EXIT_OK
 
+    @pytest.mark.parametrize("bad_id", [[0, 0, 0], [0], ["x", 0], [0, 0.5], [-1, 0], [True, 0]])
+    def test_ids_must_be_two_naturals(self, capsys, tmp_path, bad_id):
+        for key in ("a", "b"):
+            entry = {"n": 0, "a": [0, 1], "r": "1", "b": [2, 2], "s": "1"}
+            entry[key] = bad_id
+            path = tmp_path / "code.json"
+            path.write_text(json.dumps([entry]))
+            for action in (["--x", "1/2^1"], ["--check"]):
+                assert run(["decode", "--code", str(path)] + action) == EXIT_PARSE
+                assert "parse error" in capsys.readouterr().err
+
 
 class TestModuleEntryPoint:
     """`python -m banachkit`, through __main__.py and cli.main, in a fresh
@@ -430,7 +421,7 @@ class TestParseFn:
         # every subcommand, with each flag left out, valid or any Unicode text
         command = data.draw(st.sampled_from(sorted(CLI_ARGS)))
         argv = []
-        for flag, values in [("--max-cache", MAX_CACHE), (command, st.just(True))] + CLI_ARGS[command]:
+        for flag, values in [(command, st.just(True))] + CLI_ARGS[command]:
             value = data.draw(values)
             if value is True:  # the subcommand, or a switch that is on
                 argv.append(flag)

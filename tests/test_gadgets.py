@@ -106,6 +106,17 @@ class TestPreimageGadget:
         for n in (1, 2, 5, 6):
             assert img.bit(n) == 1 - x.bit(n)
 
+    def test_image_reads_only_w_up_to_its_level(self):
+        # bit n reads only w(0..n), so the image at level n does too; w's
+        # memo keys are the indices read
+        for s in (0, 1, 5, None):
+            for n in range(40):
+                w = UltimatelyConstantSeq((), 1) if s is None else w_with_first_zero(s)
+                f = preimage_gadget(w)
+                for x in (BitStream.constant(0), BitStream.constant(1)):
+                    f.image_value(x, n)
+                assert set(w._cache) <= set(range(n + 1)), (s, n)
+
     @pytest.mark.parametrize("s", range(0, 12))
     def test_extracted_bit_is_first_zero_parity(self, s):
         w = w_with_first_zero(s)

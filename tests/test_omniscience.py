@@ -17,6 +17,7 @@ from banachkit.omniscience import (
     llpomin_via_wkl,
     lpo_realizer,
     reduction_llpo_to_llpomin,
+    reduction_llpomin_to_lpo,
     wkl_search,
 )
 from banachkit.corpora import parity_promise_seq, planted_zero_seq
@@ -81,15 +82,20 @@ class TestLlpominFromLlpo:
 class TestLlpominFromLpo:
     def setup_method(self):
         self.R = llpomin_from_lpo(lpo_realizer())
+        # the bare reduction, with no scan-derived promise
+        self.bare = compose_reduction(reduction_llpomin_to_lpo, lpo_realizer())
 
     def test_even_first_zero(self):
         assert self.R(seq("1,1,0;1"), 64) == Found(0)
+        assert self.bare(seq("1,1,0;1"), 64) == Found(0)
 
     def test_odd_first_zero_uses_derived_promise(self):
         assert self.R(seq("1,0;1"), 64) == Found(1)
+        assert self.bare(seq("1,0;1"), 64) == Exhausted(64)
 
     def test_all_ones_exhausts(self):
         assert self.R(ONES, 64) == Exhausted(64)
+        assert self.bare(seq(";1"), 64) == Exhausted(64)
 
 
 class TestComposeReduction:

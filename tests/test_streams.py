@@ -22,7 +22,6 @@ from banachkit.streams import (
     pair_index,
     parse_seq,
     prefix,
-    set_default_cache_cap,
     unpair_index,
 )
 
@@ -51,13 +50,8 @@ class TestPrefix:
 
 
 class TestPointQuery:
-    @pytest.mark.parametrize("cap", [None, 2])
-    def test_rejects_negative_indices_and_non_natural_values(self, cap):
-        set_default_cache_cap(cap)
-        try:
-            s = LazySeq(lambda n: n - 3)
-        finally:
-            set_default_cache_cap(None)
+    def test_rejects_negative_indices_and_non_natural_values(self):
+        s = LazySeq(lambda n: n - 3)
         for n in (-1, 2):  # s(2) would be -1
             with pytest.raises(ValueError):
                 s(n)
@@ -177,18 +171,15 @@ def linear_first_index(s, value, bound, read):
 
 
 class TestFirstIndex:
-    @pytest.mark.parametrize("cap", [None, 4])
     @given(ult_const(), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 24)),
                                  min_size=1, max_size=10))
     @settings(max_examples=100, deadline=None)
-    def test_matches_linear_scan_and_reads_the_same(self, cap, u, queries):
+    def test_matches_linear_scan_and_reads_the_same(self, u, queries):
         by_bound = sorted(queries, key=lambda q: q[1])
         queries = [(queries[0][0], 0)] + queries + by_bound + by_bound[::-1]
-        evaluated = set()
         calls = []
 
         def gen(n):
-            evaluated.add(n)
             calls.append(n)
             return u(n)
 
@@ -199,39 +190,31 @@ class TestFirstIndex:
                 self.queries += 1
                 return super().__call__(n)
 
-        set_default_cache_cap(cap)
-        try:
-            s = Counted(gen)
-        finally:
-            set_default_cache_cap(None)
+        s = Counted(gen)
         read = set()
         for value, bound in queries:
             assert s.first_index(value, bound) == linear_first_index(u, value, bound, read)
-            assert evaluated == read
-        if cap is None:
-            assert s.queries == len(read)  # no index is read twice
+            assert set(calls) == read
+        # the memo keys are the indices read, and no index is read twice
+        assert set(s._cache) == read
+        assert s.queries == len(read)
         # one value searched again with growing bounds: each search starts
-        # where the last left off, so even past the cap no index runs twice
+        # where the last left off
         value = queries[-1][0]
-        del calls[:]
         for bound in range(26):
             assert s.first_index(value, bound) == linear_first_index(u, value, bound, read)
-            assert evaluated == read
-        assert len(calls) == len(set(calls))
+            assert set(calls) == read
+        assert set(s._cache) == read
+        assert s.queries == len(read) == len(calls)
 
-    @pytest.mark.parametrize("cap", [None, 4])
     @given(ult_const(), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 24)),
                                  min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
-    def test_recorded_entries_are_final_and_least(self, cap, u, queries):
+    def test_recorded_entries_are_final_and_least(self, u, queries):
         # first_index returns a recorded entry without taking its scan lock,
         # which is sound only if no entry changes once written and each holds
         # the least index of its value
-        set_default_cache_cap(cap)
-        try:
-            s = LazySeq(u)
-        finally:
-            set_default_cache_cap(None)
+        s = LazySeq(u)
         earlier = {}
         for value, bound in queries:
             s.first_index(value, bound)
@@ -285,15 +268,10 @@ class TestConcurrency:
         assert not any(t.is_alive() for t in threads)
         assert len(out) == 8 and all(o == out[0] for o in out)
 
-    @pytest.mark.parametrize("cap", [None, 16])
-    def test_point_queries_race_first_index(self, cap):
+    def test_point_queries_race_first_index(self):
         values = [(7 * n * n + 3) % 23 for n in range(300)]
-        set_default_cache_cap(cap)
-        try:
-            # sleep(0) hands the interpreter to another thread mid-query
-            s = LazySeq(lambda n: time.sleep(0) or values[n])
-        finally:
-            set_default_cache_cap(None)
+        # sleep(0) hands the interpreter to another thread mid-query
+        s = LazySeq(lambda n: time.sleep(0) or values[n])
         points = list(range(0, 300, 3))
         searches = [(v, b) for b in (40, 300, 120) for v in range(23)]
         expected = ([values[n] for n in points],
@@ -324,8 +302,7 @@ class TestConcurrency:
         assert not any(t.is_alive() for t in threads)
         assert out == [expected] * 12
         assert all(values[n] == v for n, v in s._cache.items())
-        if cap is not None:
-            assert len(s._cache) <= cap
+        assert set(s._cache) == set(points) | set(range(s._scanned))
         for v, t in s._first.items():
             assert values.index(v) == t
 
