@@ -9,6 +9,7 @@ argv and seed differ at most in elapsed_ms.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -367,19 +368,30 @@ def cmd_metric(args) -> int:
     return EXIT_OK
 
 
+def _is_natural(value) -> bool:
+    """A JSON natural: an int >= 0 that is not a bool."""
+    return type(value) is int and value >= 0
+
+
 def _net_id(pair) -> tuple:
     """A quintuple's ball or value id: two JSON naturals, (level, index)."""
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(type(v) is int and v >= 0 for v in pair)):
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_natural, pair))):
         raise ValueError(f"an id of two naturals, got {pair!r}")
     return tuple(pair)
+
+
+def _code_index(n) -> int:
+    """A quintuple's enumeration index n: a JSON natural."""
+    if not _is_natural(n):
+        raise ValueError(f"an index n that is a natural, got {n!r}")
+    return n
 
 
 def _load_code(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        return [CodeEntry(e["n"], _net_id(e["a"]), parse_dyadic(e["r"]),
+        return [CodeEntry(_code_index(e["n"]), _net_id(e["a"]), parse_dyadic(e["r"]),
                           _net_id(e["b"]), parse_dyadic(e["s"])) for e in raw]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ParseError(path, 0, f"readable JSON quintuple list ({exc})") from exc
@@ -419,7 +431,10 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parse_args reads it and
+    leaves it unchanged, so every run reuses it."""
     top = argparse.ArgumentParser(prog="banachkit")
 
     def common(p, fuel=True):

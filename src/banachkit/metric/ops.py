@@ -20,10 +20,9 @@ carries its own exact_range predicate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
-
-import numpy as np
 
 from ..errors import (
     CapExceededError,
@@ -206,9 +205,9 @@ def preimage_select(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> Point:
     return ApproxPoint(compute_level, m_max)
 
 
-def _cap_images(X: CompactSpace, F: UCFun, cap: int) -> Tuple[np.ndarray, int]:
-    """Images of the level-cap net points in id order, as integers at one
-    scale 2^-s.
+def _cap_images(X: CompactSpace, F: UCFun, cap: int) -> Tuple[List[int], int]:
+    """Images of the level-cap net points in id order, as exact integers at
+    one scale 2^-s (Python ints, so no width limit).
 
     The nets are nested, so these are all the net points of levels <= cap
     (a shorter Cantor word denotes itself padded with zeros). Interval
@@ -221,12 +220,12 @@ def _cap_images(X: CompactSpace, F: UCFun, cap: int) -> Tuple[np.ndarray, int]:
     if X.kind == "interval":
         images = [F.precision_image(X.net_point(cap, i), cap + 4) for i in ids]
         s = max(cap + 2, max(f.exp for f in images))
-        return np.array([f.scaled_int(s) for f in images], dtype=np.int64), s
+        return [f.scaled_int(s) for f in images], s
     if F.solver:
         words = [image for _, image in F.walk(cap, (), None, cap + 1)]
     else:
         words = [X.id_of(cap + 1, F.image_value(X.net_point(cap, i), cap + 1)) for i in ids]
-    return np.array(words, dtype=np.int64), cap + 1
+    return words, cap + 1
 
 
 def _profile(X: CompactSpace, F: UCFun, cap: int) -> Tuple[List[int], int]:
@@ -236,8 +235,9 @@ def _profile(X: CompactSpace, F: UCFun, cap: int) -> Tuple[List[int], int]:
     Interval points closer than 2^-n lie in a run of 2^(cap+1-n) consecutive
     grid points; Cantor words closer than 2^-n share bits 0..n, a run of
     2^(cap-n) ids aligned on its length. Each pass doubles the run and takes
-    its max and min. On Cantor space max ^ min has the leading bit of the
-    widest XOR in its run, which is all a power-of-two threshold reads.
+    its max and min, over lists of exact ints. On Cantor space max ^ min has
+    the leading bit of the widest XOR in its run, which is all a power-of-two
+    threshold reads.
 
     Memoized on F: the profile depends only on F, the space kind and the
     cap, so threads racing on it can at worst compute it twice.
@@ -250,14 +250,14 @@ def _profile(X: CompactSpace, F: UCFun, cap: int) -> Tuple[List[int], int]:
         if X.kind == "interval":
             for n in range(cap, -1, -1):
                 step = 1 << (cap - n)
-                hi = np.maximum(hi[:-step], hi[step:])
-                lo = np.minimum(lo[:-step], lo[step:])
-                gap[n] = int((hi - lo).max())
+                hi = list(map(max, hi, hi[step:]))
+                lo = list(map(min, lo, lo[step:]))
+                gap[n] = max(map(operator.sub, hi, lo))
         else:
             for n in range(cap - 1, -1, -1):  # gap[cap] = 0: runs of one id
-                hi = hi.reshape(-1, 2).max(axis=1)
-                lo = lo.reshape(-1, 2).min(axis=1)
-                gap[n] = int((hi ^ lo).max())
+                hi = list(map(max, hi[::2], hi[1::2]))
+                lo = list(map(min, lo[::2], lo[1::2]))
+                gap[n] = max(map(operator.xor, hi, lo))
         F._profiles[key] = (gap, s)
     return F._profiles[key]
 

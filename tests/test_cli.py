@@ -14,6 +14,7 @@ from banachkit.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VERIFY,
+    build_parser,
     parse_fn,
     run,
 )
@@ -375,16 +376,28 @@ class TestDecodeCommand:
                 assert run(["decode", "--code", str(path)] + action) == EXIT_PARSE
                 assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_n", ["x", None, True, -3])
+    def test_index_must_be_a_natural(self, capsys, tmp_path, bad_n):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps([{"n": bad_n, "a": [0, 1], "r": "1", "b": [2, 2], "s": "1"}]))
+        for action in (["--x", "1/2^1"], ["--check"]):
+            assert run(["decode", "--code", str(path)] + action) == EXIT_PARSE
+            assert "an index n that is a natural" in capsys.readouterr().err
+
 
 class TestModuleEntryPoint:
     """`python -m banachkit`, through __main__.py and cli.main, in a fresh
     interpreter."""
 
     @staticmethod
-    def run_module(*argv):
+    def run_python(*args):
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        return subprocess.run([sys.executable, "-m", "banachkit", *argv], env=env,
+        return subprocess.run([sys.executable, *args], env=env,
                               capture_output=True, text=True, timeout=120)
+
+    @classmethod
+    def run_module(cls, *argv):
+        return cls.run_python("-m", "banachkit", *argv)
 
     def test_oracle_report(self):
         done = self.run_module("oracle", "--op", "lpo", "--seq", "1,0;1", "--format", "json")
@@ -395,6 +408,58 @@ class TestModuleEntryPoint:
         done = self.run_module("oracle", "--op", "lpo", "--seq", "1,x;1", "--format", "json")
         assert done.returncode == EXIT_PARSE
         assert done.stdout == "" and "parse error" in done.stderr
+
+    def test_modulus_sweeps_do_not_load_numpy(self):
+        script = "\n".join([
+            "import sys",
+            "from banachkit import cli",
+            "for space, fun in (('interval', 'halving'), ('cantor', 'padding')):",
+            "    if cli.run(['metric', 'modulus', '--space', space, '--fun', fun,",
+            "                '--m-max', '5', '--max-level', '5', '--format', 'json']) != 0:",
+            "        sys.exit(f'{space} {fun} modulus failed')",
+            "if 'numpy' in sys.modules:",
+            "    sys.exit('numpy was imported')",
+        ])
+        done = self.run_python("-c", script)
+        assert done.returncode == EXIT_OK, done.stderr
+
+
+def _report(stdout: str):
+    """A JSON report without its elapsed_ms; None when nothing was printed."""
+    if not stdout:
+        return None
+    data = json.loads(stdout)
+    data.pop("elapsed_ms")
+    return data
+
+
+class TestReusedParser:
+    """build_parser builds the argparse tree once per process. Runs of
+    different subcommands through it, a rejected argv among them, give the
+    reports of fresh interpreters."""
+
+    SEQUENCE = [
+        (["metric", "modulus", "--m-max", "5", "--max-level", "5"], EXIT_OK),
+        (["oracle", "--op", "lpo", "--seq", "1,0;1"], EXIT_OK),
+        (["metric", "range", "--pair", "identity", "--y", "3/2^2", "--m-max", "6",
+          "--max-level", "8"], EXIT_OK),
+        (["metric", "modulus", "--m-max", "x"], EXIT_PARSE),
+        (["metric", "modulus", "--m-max", "5", "--max-level", "5"], EXIT_OK),
+    ]
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reports_match_fresh_processes(self, capsys):
+        for argv, want in self.SEQUENCE:
+            argv = argv + ["--format", "json"]
+            code = run(argv)
+            out, err = capsys.readouterr()
+            fresh = TestModuleEntryPoint.run_module(*argv)
+            assert code == fresh.returncode == want, (argv, err, fresh.stderr)
+            assert _report(out) == _report(fresh.stdout), argv
+            # the usage lines wrap to the terminal width; the error line does not
+            assert err.splitlines()[-1:] == fresh.stderr.splitlines()[-1:], argv
 
 
 class TestParseFn:

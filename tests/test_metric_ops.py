@@ -166,6 +166,14 @@ def brute_modulus(pairs, cap, m):
     return next((n for n in range(cap + 1) if brute_valid(pairs, m + 1, n)), None)
 
 
+BRUTE_FORCE_FUNS = {
+    "halving": lambda: halving_gadget()[0],
+    "padding": lambda: padding_gadget()[0],
+    "cantor-identity": lambda: identity_fun(cantor_space(40)),
+    "preimage-gadget": lambda: preimage_gadget(parse_seq("1,0;1")),
+}
+
+
 class TestModulus:
     def test_halving_is_identity(self, halving):
         X, F, _ = halving
@@ -189,13 +197,17 @@ class TestModulus:
         M = modulus_of(X, identity_fun(X), 8)
         assert [M(m) for m in range(6)] == [m + 1 for m in range(6)]
 
-    @pytest.mark.parametrize("space_kind", ["interval", "cantor"])
-    def test_matches_pure_python_brute_force(self, space_kind, halving, padding):
-        X, F, _ = halving if space_kind == "interval" else padding
-        M = modulus_of(X, F, 5)
-        pairs = brute_pairs(X, F, 5)
-        for m in range(6):
-            assert M(m) == brute_modulus(pairs, 5, m)
+    @pytest.mark.parametrize("cap", range(1, 7))
+    @pytest.mark.parametrize("name", sorted(BRUTE_FORCE_FUNS))
+    def test_matches_pure_python_brute_force(self, name, cap):
+        # each gadget on its default space, deeper than the profile cap
+        # (TestModulusProfile builds its spaces at level 6)
+        F = BRUTE_FORCE_FUNS[name]()
+        X = F.space
+        M = modulus_of(X, F, cap)
+        pairs = brute_pairs(X, F, cap)
+        for m in range(cap + 1):
+            assert M(m) == brute_modulus(pairs, cap, m), m
 
     def test_validity_invariant(self, halving):
         X, F, _ = halving
