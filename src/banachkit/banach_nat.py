@@ -97,16 +97,9 @@ class PartialBijection:
                 raise VerificationError(
                     f"not injective: {targets[n]} and {m} both map to {n}")
             targets[n] = m
-        self._inverse = targets
 
     def __call__(self, m: int) -> int:
         return self.forward[m]
-
-    def __contains__(self, m: int) -> bool:
-        return m in self.forward
-
-    def inverse_of(self, n: int) -> Optional[int]:
-        return self._inverse.get(n)
 
     def to_json(self) -> list:
         return [[m, self.forward[m], self.tags[m]] for m in sorted(self.forward)]

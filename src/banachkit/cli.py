@@ -2,8 +2,10 @@
 
 Exit codes: 0 success/pass, 1 verification failure, 2 fuel or depth
 exhausted, 3 parse error (a malformed literal or argument, or a level beyond
-a cap). Reports serialize with a stable key order; two runs with the same
-argv and seed differ at most in elapsed_ms.
+a cap). Each handler returns its report and exit code, and `run` prints the
+report: one per run, or none when a raised error ends the run (`diagram`
+prints its diagram instead). Reports serialize with a stable key order; two
+runs with the same argv and seed differ at most in elapsed_ms.
 """
 
 from __future__ import annotations
@@ -180,126 +182,108 @@ def _apply_promise(s: LazySeq, promise: Optional[str]) -> LazySeq:
     return s
 
 
-def cmd_oracle(args) -> int:
-    report = RunReport("oracle." + args.op, {"seq": args.seq, "promise": args.promise})
+ORACLE_OPS = ["lpo", "mu0", "mu", "llpomin"]
+PIPELINES = ["llpo-from-llpomin", "llpo-from-lpo", "llpomin-from-llpo", "llpomin-from-lpo",
+             "grilliot"]
+
+
+def cmd_search(args):
+    """oracle --op and reduce --pipeline: one fuel-bounded zero search on a
+    sequence literal, reported as oracle.<op> or reduce.<pipeline>."""
+    report = RunReport(f"{args.command}.{args.search}", {"seq": args.seq, "promise": args.promise})
     s = _apply_promise(parse_seq(args.seq), args.promise)
     fuel = report.fuel(args.fuel)
-    ops = {"lpo": lpo, "mu0": mu0, "mu": mu, "llpomin": omniscience.llpomin}
-    result = ops[args.op](s, fuel)
+    # built per run from the module attributes, so that wrappers installed on
+    # them (a tracer's, say) see the calls
+    o = omniscience
+    searches = {
+        "lpo": lpo, "mu0": mu0, "mu": mu, "llpomin": o.llpomin,
+        "llpo-from-lpo": o.llpo_from_lpo(o.lpo_realizer()),
+        "llpomin-from-lpo": o.llpomin_from_lpo(o.lpo_realizer()),
+        "llpomin-from-llpo": o.llpomin_from_llpo(o.llpo_from_llpomin(o.llpomin_realizer())),
+        "llpo-from-llpomin": o.llpo_from_llpomin(o.llpomin_realizer()),
+        "grilliot": functools.partial(o.grilliot_lpo, o.llpomin_realizer()),
+    }
+    result = searches[args.search](s, fuel)
     report.output = _oracle_json(result)
-    report.emit(args.format)
-    return EXIT_OK if result.found else EXIT_EXHAUSTED
+    return report, EXIT_OK if result.found else EXIT_EXHAUSTED
 
 
-def cmd_range(args) -> int:
+def _aux(args) -> LazySeq:
+    return parse_fn(_need(args.aux, "--aux", "auxiliary function"))
+
+
+def _results(report: RunReport, res, show: int):
+    """The per-index results res(0..show-1); exit 2 if any is exhausted."""
+    vals = [res(n) for n in range(show)]
+    report.output = [_oracle_json(r) for r in vals]
+    return report, EXIT_EXHAUSTED if any(r.exhausted for r in vals) else EXIT_OK
+
+
+def cmd_range(args):
     f = parse_fn(args.f)
     if args.action == "verify":
         report = RunReport("range.verify", {"f": args.f, "aux": args.aux, "kind": args.kind})
         fuel = report.fuel(args.fuel)
         report.bounds["n_max"] = args.n_max
-        aux = parse_fn(_need(args.aux, "--aux", "auxiliary function"))
-        out = ranges.verify_range_aux(f, aux, args.kind, args.n_max, fuel)
+        out = ranges.verify_range_aux(f, _aux(args), args.kind, args.n_max, fuel)
         report.output = "pass" if out.ok else "fail"
         report.violations = out.to_json()["violations"]
-        report.emit(args.format)
-        return EXIT_OK if out.ok else EXIT_VERIFY
-    if args.action == "translate":
-        report = RunReport("range.translate", {"f": args.f, "aux": args.aux, "dir": args.dir})
-        fuel = report.fuel(args.fuel)
-        aux = parse_fn(_need(args.aux, "--aux", "auxiliary function"))
-        exhausted = False
-        if args.dir == "beta-to-rho":
-            chi = ranges.t_beta_to_rho(f, aux)
-            report.output = [chi(n) for n in range(args.show)]
-        else:
-            res = ranges.t_rho_to_beta(f, aux, fuel)
-            vals = [res(n) for n in range(args.show)]
-            exhausted = any(r.exhausted for r in vals)
-            report.output = [_oracle_json(r) for r in vals]
-        report.emit(args.format)
-        return EXIT_EXHAUSTED if exhausted else EXIT_OK
-    report = RunReport("range.bounding", {"f": args.f})
+        return report, EXIT_OK if out.ok else EXIT_VERIFY
+    if args.action == "bounding":
+        report = RunReport("range.bounding", {"f": args.f})
+        return _results(report, ranges.bounding_b(f, report.fuel(args.fuel)), args.show)
+    report = RunReport("range.translate", {"f": args.f, "aux": args.aux, "dir": args.dir})
+    if args.dir == "beta-to-rho":  # a total translation: it spends no fuel
+        chi = ranges.t_beta_to_rho(f, _aux(args))
+        report.output = [chi(n) for n in range(args.show)]
+        return report, EXIT_OK
     fuel = report.fuel(args.fuel)
-    res = ranges.bounding_b(f, fuel)
-    vals = [res(n) for n in range(args.show)]
-    report.output = [_oracle_json(r) for r in vals]
-    report.emit(args.format)
-    return EXIT_EXHAUSTED if any(r.exhausted for r in vals) else EXIT_OK
+    return _results(report, ranges.t_rho_to_beta(f, _aux(args), fuel), args.show)
 
 
-_PIPELINES = {
-    "llpo-from-lpo": lambda: omniscience.llpo_from_lpo(omniscience.lpo_realizer()),
-    "llpomin-from-lpo": lambda: omniscience.llpomin_from_lpo(omniscience.lpo_realizer()),
-    "llpomin-from-llpo": lambda: omniscience.llpomin_from_llpo(
-        omniscience.llpo_from_llpomin(omniscience.llpomin_realizer())),
-    "llpo-from-llpomin": lambda: omniscience.llpo_from_llpomin(omniscience.llpomin_realizer()),
-}
-
-
-def cmd_reduce(args) -> int:
-    report = RunReport("reduce." + args.pipeline, {"seq": args.seq, "promise": args.promise})
-    s = _apply_promise(parse_seq(args.seq), args.promise)
-    fuel = report.fuel(args.fuel)
-    if args.pipeline == "grilliot":
-        result = omniscience.grilliot_lpo(omniscience.llpomin_realizer(), s, fuel)
-    else:
-        result = _PIPELINES[args.pipeline]()(s, fuel)
-    report.output = _oracle_json(result)
-    report.emit(args.format)
-    return EXIT_OK if result.found else EXIT_EXHAUSTED
-
-
-def _pair_from_args(args, report: RunReport) -> banach_nat.BoundedInjPair:
-    f0, f1 = parse_fn(args.f0), parse_fn(args.f1)
-    if args.b0 and args.b1:
-        return banach_nat.BoundedInjPair(f0, f1, parse_fn(args.b0), parse_fn(args.b1))
-    return banach_nat.unbounded_pair(f0, f1, report.fuel(args.bounds_fuel, "bounds_fuel"))
-
-
-def _depth(args) -> int:
-    """--depth, by default 4 * --n-max; it may not be below --n-max."""
-    if args.depth is None:
-        return 4 * args.n_max
-    if args.depth < args.n_max:
-        raise ParseError(str(args.depth), 0, f"--depth of at least --n-max {args.n_max}")
-    return args.depth
-
-
-def cmd_banach_nat(args) -> int:
-    report = RunReport("banach-nat", {"f0": args.f0, "f1": args.f1})
-    pair = _pair_from_args(args, report)
-    depth = _depth(args)
+def _bijection(args, report: RunReport, pair: banach_nat.BoundedInjPair):
+    """h on 0..n_max-1 at --depth, by default 4 * --n-max; a --depth below
+    --n-max is a parse error."""
+    depth = 4 * args.n_max if args.depth is None else args.depth
+    if depth < args.n_max:
+        raise ParseError(str(depth), 0, f"--depth of at least --n-max {args.n_max}")
     report.bounds["n_max"] = args.n_max
     report.bounds["depth"] = depth
-    h = banach_nat.banach_bijection_nat(pair, args.n_max, depth)
+    return banach_nat.banach_bijection_nat(pair, args.n_max, depth)
+
+
+def cmd_banach_nat(args):
+    report = RunReport("banach-nat", {"f0": args.f0, "f1": args.f1})
+    f0, f1 = parse_fn(args.f0), parse_fn(args.f1)
+    if args.b0 is None and args.b1 is None:
+        pair = banach_nat.unbounded_pair(f0, f1, report.fuel(args.bounds_fuel, "bounds_fuel"))
+    else:  # the bounds come as a pair: one without the other is a parse error
+        b0 = _need(args.b0, "--b0", "to go with --b1")
+        b1 = _need(args.b1, "--b1", "to go with --b0")
+        pair = banach_nat.BoundedInjPair(f0, f1, parse_fn(b0), parse_fn(b1))
+    h = _bijection(args, report, pair)
     verdict = banach_nat.verify_banach(pair, h, args.n_max)
     report.output = {"bijection": h.to_json()[:args.n_max], "verify": "pass" if verdict.ok else "fail"}
     report.violations = verdict.to_json()["violations"]
-    report.emit(args.format)
-    return EXIT_OK if verdict.ok else EXIT_VERIFY
+    return report, EXIT_OK if verdict.ok else EXIT_VERIFY
 
 
-def cmd_gadget(args) -> int:
+def cmd_gadget(args):
     report = RunReport("gadget", {"g": args.g})
-    g = parse_seq(args.g)
-    pair = banach_nat.gadget_llpo(g)
-    depth = _depth(args)
-    report.bounds["n_max"] = args.n_max
-    report.bounds["depth"] = depth
-    h = banach_nat.banach_bijection_nat(pair, args.n_max, depth)
+    h = _bijection(args, report, banach_nat.gadget_llpo(parse_seq(args.g)))
     report.output = {"h1": h(1)}
-    report.emit(args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_diagram(args) -> int:
+def cmd_diagram(args):
     if args.g is not None:
         pair = banach_nat.gadget_llpo(parse_seq(args.g))
     else:
         ident = LazySeq(lambda n: n, name="identity")
         pair = banach_nat.BoundedInjPair(ident, ident, ident, ident)
     sys.stdout.write(banach_nat.render_chain_diagram(pair, args.width))
-    return EXIT_OK
+    return None, EXIT_OK
 
 
 def _metric_space_and_fun(args):
@@ -332,24 +316,21 @@ def _parse_point(space, text: Optional[str], flag: str):
     return parse_cantor_point(text)
 
 
-def cmd_metric(args) -> int:
+def cmd_metric(args):
     space, F, G = _metric_space_and_fun(args)
-    fmt = args.format
     if args.action == "range":
         report = RunReport("metric.range", {"space": args.space, "fun": args.fun, "y": args.y})
         report.bounds["m_max"] = args.m_max
         ans = range_char(space, F, _parse_point(space, args.y, "--y"), args.m_max)
         report.output = ans.to_json()
-        report.emit(fmt)
-        return EXIT_OK
+        return report, EXIT_OK
     if args.action == "preimage":
         report = RunReport("metric.preimage", {"space": args.space, "fun": args.fun, "y": args.y})
         report.bounds["m_max"] = args.m_max
         report.bounds["level"] = args.level
         p = preimage_select(space, F, _parse_point(space, args.y, "--y"), args.m_max)
         report.output = {"approx": str(p.approx(args.level))}
-        report.emit(fmt)
-        return EXIT_OK
+        return report, EXIT_OK
     if args.action == "modulus":
         report = RunReport("metric.modulus", {"space": args.space, "fun": args.fun})
         report.bounds["level_cap"] = args.m_max
@@ -357,15 +338,13 @@ def cmd_metric(args) -> int:
         values = [M(m) for m in range(args.m_max + 1)]
         valid = all(modulus_valid(space, F, M, m, args.m_max) for m in range(args.m_max + 1))
         report.output = {"modulus": values, "valid": valid}
-        report.emit(fmt)
-        return EXIT_OK if valid else EXIT_VERIFY
+        return report, EXIT_OK if valid else EXIT_VERIFY
     report = RunReport("metric.banach-h", {"space": args.space, "pair": args.fun, "x": args.x})
     report.bounds["level"] = args.level
     fuel = report.fuel(args.fuel)
     res = banach_H(space, F, G, _parse_point(space, args.x, "--x"), args.level, fuel)
     report.output = res.to_json()
-    report.emit(fmt)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _is_natural(value) -> bool:
@@ -397,7 +376,7 @@ def _load_code(path: str):
         raise ParseError(path, 0, f"readable JSON quintuple list ({exc})") from exc
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args):
     space = unit_interval(args.max_level) if args.space == "interval" \
         else cantor_space(args.max_level)
     entries = _load_code(args.code)
@@ -409,17 +388,15 @@ def cmd_decode(args) -> int:
     if args.check:
         bad = check_code(fn, entries, space)
         report.output = {"check": "pass" if not bad else "fail", "bad_entries": bad}
-        report.emit(args.format)
-        return EXIT_OK if not bad else EXIT_VERIFY
+        return report, EXIT_OK if not bad else EXIT_VERIFY
     x = _parse_point(space, args.x, "--x")
     value = fn.precision_image(x.value if space.kind == "interval" else x.stream, args.level)
     report.bounds["level"] = args.level
     report.output = {"value": str(value)}
-    report.emit(args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args):
     from . import corpora
 
     report = RunReport("corpus." + args.suite, {"seed": args.seed, "cases": args.cases})
@@ -427,8 +404,7 @@ def cmd_corpus(args) -> int:
     failures = corpora.run_suite(args.suite, rng, args.cases)
     report.output = "pass" if not failures else "fail"
     report.violations = failures
-    report.emit(args.format)
-    return EXIT_OK if not failures else EXIT_VERIFY
+    return report, EXIT_OK if not failures else EXIT_VERIFY
 
 
 @functools.lru_cache(maxsize=1)
@@ -445,11 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("oracle", help="lpo / mu0 / mu / llpomin on a sequence literal")
-    p.add_argument("--op", choices=["lpo", "mu0", "mu", "llpomin"], required=True)
+    p.add_argument("--op", dest="search", choices=ORACLE_OPS, required=True)
     p.add_argument("--seq", required=True)
     p.add_argument("--promise", choices=["no-zero", "all-zero"])
     common(p)
-    p.set_defaults(fn=cmd_oracle)
+    p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("range", help="rho/beta verification and translations")
     p.add_argument("action", choices=["verify", "translate", "bounding"])
@@ -463,11 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_range)
 
     p = sub.add_parser("reduce", help="named reduction pipelines")
-    p.add_argument("--pipeline", choices=sorted(_PIPELINES) + ["grilliot"], required=True)
+    p.add_argument("--pipeline", dest="search", choices=PIPELINES, required=True)
     p.add_argument("--seq", required=True)
     p.add_argument("--promise", choices=["no-zero", "all-zero"])
     common(p)
-    p.set_defaults(fn=cmd_reduce)
+    p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("banach-nat", help="bijection from two injections, plus verification")
     p.add_argument("--f0", required=True)
@@ -527,9 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    """Parse argv, run its handler and emit the report it returns. This is the
+    only place a report is printed, so a raised error prints none."""
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        report, code = args.fn(args)
     except ParseError as exc:
         print(exc, file=sys.stderr)  # the message starts "parse error at ..."
         return EXIT_PARSE
@@ -548,6 +526,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         # argparse reports its own usage errors on stderr
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+    if report is not None:
+        report.emit(args.format)
+    return code
 
 
 def main() -> None:

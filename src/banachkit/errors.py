@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ParseError and CapExceededError -> 3,
-ExhaustionError -> 2, VerificationError (and subclasses) -> 1.
+ExhaustionError -> 2, VerificationError (and subclasses) -> 1, and every
+other BanachKitError -> 1. A raised error ends the run with no report.
 """
 
 

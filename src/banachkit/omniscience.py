@@ -17,7 +17,7 @@ maps prove them, not because anyone re-scanned the sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 from .errors import NoPathError, NotATreeError
 from .streams import (
@@ -253,18 +253,11 @@ def grilliot_witness_family(R: Realizer, count: int, fuel: FuelLike) -> list[Laz
             for n in range(count)]
 
 
-TreePredicate = Union[Callable[[Tuple[int, ...]], bool], object]
-
-
-def _member_fn(T: TreePredicate) -> Callable[[Tuple[int, ...]], bool]:
-    member = getattr(T, "member", None)
-    return member if callable(member) else T  # type: ignore[return-value]
-
-
 CLOSURE_PROBES = 32
 
 
-def wkl_search(T: TreePredicate, depth: int) -> Optional[Tuple[int, ...]]:
+def wkl_search(member: Callable[[Tuple[int, ...]], bool],
+               depth: int) -> Optional[Tuple[int, ...]]:
     """Leftmost member of length `depth` in a 0/1 tree predicate, or None.
 
     Leftmost-first depth search; the path-selector of the uniform tree
@@ -273,7 +266,6 @@ def wkl_search(T: TreePredicate, depth: int) -> Optional[Tuple[int, ...]]:
     a member extension of a non-member raises NotATreeError (the predicate is
     not downward closed).
     """
-    member = _member_fn(T)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if not member(()):

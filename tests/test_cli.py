@@ -1,9 +1,11 @@
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -40,10 +42,11 @@ POINT = one_of("1/2^1", "3/2^2", "1", "1,0;1", ";0")
 PROMISE = one_of("no-zero", "all-zero")
 
 # subcommand -> its positional (no dashes) and flags, with the values to
-# draw; True is a switch that is on
+# draw; True is a switch that is on. Every subcommand but diagram also gets
+# --format json, so that its report can be read back.
 CLI_ARGS = {
     "oracle": [("--op", one_of("lpo", "mu0", "mu", "llpomin")), ("--seq", SEQ),
-               ("--promise", PROMISE), ("--fuel", COUNT), ("--format", one_of("json", "text"))],
+               ("--promise", PROMISE), ("--fuel", COUNT)],
     "range": [("action", one_of("verify", "translate", "bounding")), ("--f", FN), ("--aux", FN),
               ("--kind", one_of("rho", "beta")), ("--dir", one_of("beta-to-rho", "rho-to-beta")),
               ("--n-max", COUNT), ("--show", COUNT), ("--fuel", COUNT)],
@@ -175,12 +178,22 @@ class TestExitCodes:
         (["range", "verify", "--f", "double"], "--aux"),
         (["range", "translate", "--f", "double", "--dir", "rho-to-beta"], "--aux"),
         (["decode", "--code", "{code}"], "--x"),
+        # the bounds of banach-nat come as a pair
+        (["banach-nat", "--f0", "succ", "--f1", "succ", "--b1", "zzz"], "--b0"),
+        (["banach-nat", "--f0", "succ", "--f1", "succ", "--b0", "identity"], "--b1"),
+        (["banach-nat", "--f0", "succ", "--f1", "succ", "--b0", ""], "--b1"),
     ])
     def test_missing_literal_flag_is_three(self, capsys, tmp_path, argv, flag):
         code = tmp_path / "code.json"
         code.write_text(json.dumps([{"n": 0, "a": [0, 0], "r": "1", "b": [0, 0], "s": "1"}]))
         assert run([str(code) if a == "{code}" else a for a in argv]) == EXIT_PARSE
         assert f"expected {flag} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b0, b1", [("", ""), ("identity", ""), ("", "identity")])
+    def test_empty_bound_is_three(self, capsys, b0, b1):
+        assert run(["banach-nat", "--f0", "succ", "--f1", "succ",
+                    "--b0", b0, "--b1", b1]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error at position 0 in '': ")
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
     def test_bad_fuel_variable_is_three(self, capsys, monkeypatch, raw):
@@ -190,6 +203,7 @@ class TestExitCodes:
         # the flag overrides the variable, and commands without fuel never read it
         assert run(["oracle", "--op", "lpo", "--seq", "1;0", "--fuel", "4"]) == EXIT_OK
         assert run(["diagram", "--width", "4"]) == EXIT_OK
+        assert run(["range", "translate", "--f", "double", "--aux", "const:1"]) == EXIT_OK
         assert run(["metric", "modulus", "--m-max", "2", "--max-level", "2"]) == EXIT_OK
 
     @pytest.mark.parametrize("raw, bound", [("8", 8), ("", 256)])
@@ -255,6 +269,9 @@ class TestFuelSource:
         assert "fuel_source" not in data["bounds"]
         _, data = run_json(capsys, ["gadget", "--g", "1,0;0", "--n-max", "4"])
         assert "fuel_source" not in data["bounds"]
+        _, data = run_json(capsys, ["range", "translate", "--f", "double", "--aux", "const:1",
+                                    "--dir", "beta-to-rho", "--show", "2"])
+        assert data["bounds"] == {}
 
 
 class TestSpecExamples:
@@ -493,4 +510,19 @@ class TestParseFn:
             elif value is not None:
                 argv += [flag, value] if flag.startswith("--") else [value]
         argv = [str(code_file) if a == "{code}" else a for a in argv]
-        assert run(argv) in (EXIT_OK, EXIT_VERIFY, EXIT_EXHAUSTED, EXIT_PARSE)
+        if command != "diagram":
+            argv += ["--format", "json"]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = run(argv)
+        assert code in (EXIT_OK, EXIT_VERIFY, EXIT_EXHAUSTED, EXIT_PARSE)
+        # one report or none: a parse error prints none, and every other
+        # output is one JSON report of this subcommand
+        stdout = out.getvalue()
+        if code == EXIT_PARSE:
+            assert stdout == ""
+        elif command != "diagram" and not stdout.startswith("usage: "):  # -h asks for help
+            assert stdout or code != EXIT_OK
+            if stdout:
+                line, = stdout.splitlines()
+                assert json.loads(line)["op"].startswith(command)

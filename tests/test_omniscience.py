@@ -182,13 +182,6 @@ class TestWklSearch:
         with pytest.raises(NotATreeError):
             wkl_search(bad, 3)
 
-    def test_member_object_protocol(self):
-        class T:
-            def member(self, s):
-                return all(b == 0 for b in s)
-
-        assert wkl_search(T(), 3) == (0, 0, 0)
-
 
 class TestLlpominViaWkl:
     def test_spec_cases(self):
