@@ -1,10 +1,10 @@
 """Command-line surface: every construction, deterministic reports.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 fuel or depth
-exhausted, 3 parse error (a malformed literal or argument, or a level beyond
-a cap). Each handler returns its report and exit code, and `run` prints the
-report: one per run, or none when a raised error ends the run (`diagram`
-prints its diagram instead). Reports serialize with a stable key order; two
+exhausted, 3 parse error (a malformed literal or argument, a flag the chosen
+action never reads, or a level beyond a cap). Each handler returns its
+report and exit code, and `run` prints the report: one per run, or none
+when a raised error ends the run (`diagram` prints its diagram instead). Reports serialize with a stable key order; two
 runs with the same argv and seed differ at most in elapsed_ms.
 """
 
@@ -141,6 +141,15 @@ def _need(value: Optional[str], flag: str, expected: str) -> str:
     return value
 
 
+def _refuse(args, action: str, *flags: str) -> None:
+    """A parse error naming the first of flags that argv gives: action never
+    reads it, and a flag on the command line either changes the run or is
+    refused."""
+    for flag in flags:
+        if flag in args.given:
+            raise ParseError(flag, 0, f"a flag that {action} reads")
+
+
 def _oracle_json(r: OracleResult):
     return {"found": r.value} if r.found else {"exhausted": r.bound}
 
@@ -223,6 +232,7 @@ def _results(report: RunReport, res, show: int):
 def cmd_range(args):
     f = parse_fn(args.f)
     if args.action == "verify":
+        _refuse(args, "range verify", "--dir", "--show")
         report = RunReport("range.verify", {"f": args.f, "aux": args.aux, "kind": args.kind})
         fuel = report.fuel(args.fuel)
         report.bounds["n_max"] = args.n_max
@@ -231,10 +241,13 @@ def cmd_range(args):
         report.violations = out.to_json()["violations"]
         return report, EXIT_OK if out.ok else EXIT_VERIFY
     if args.action == "bounding":
+        _refuse(args, "range bounding", "--aux", "--kind", "--dir", "--n-max")
         report = RunReport("range.bounding", {"f": args.f})
         return _results(report, ranges.bounding_b(f, report.fuel(args.fuel)), args.show)
+    _refuse(args, "range translate", "--kind", "--n-max")
     report = RunReport("range.translate", {"f": args.f, "aux": args.aux, "dir": args.dir})
     if args.dir == "beta-to-rho":  # a total translation: it spends no fuel
+        _refuse(args, "range translate --dir beta-to-rho", "--fuel")
         chi = ranges.t_beta_to_rho(f, _aux(args))
         report.output = [chi(n) for n in range(args.show)]
         return report, EXIT_OK
@@ -259,6 +272,7 @@ def cmd_banach_nat(args):
     if args.b0 is None and args.b1 is None:
         pair = banach_nat.unbounded_pair(f0, f1, report.fuel(args.bounds_fuel, "bounds_fuel"))
     else:  # the bounds come as a pair: one without the other is a parse error
+        _refuse(args, "banach-nat with --b0 and --b1", "--bounds-fuel")
         b0 = _need(args.b0, "--b0", "to go with --b1")
         b1 = _need(args.b1, "--b1", "to go with --b0")
         pair = banach_nat.BoundedInjPair(f0, f1, parse_fn(b0), parse_fn(b1))
@@ -318,13 +332,17 @@ def _parse_point(space, text: Optional[str], flag: str):
 
 def cmd_metric(args):
     space, F, G = _metric_space_and_fun(args)
+    if (args.space, args.fun) != ("cantor", "preimage-gadget"):
+        _refuse(args, f"metric --space {args.space} --fun {args.fun}", "--w")
     if args.action == "range":
+        _refuse(args, "metric range", "--x", "--level", "--fuel")
         report = RunReport("metric.range", {"space": args.space, "fun": args.fun, "y": args.y})
         report.bounds["m_max"] = args.m_max
         ans = range_char(space, F, _parse_point(space, args.y, "--y"), args.m_max)
         report.output = ans.to_json()
         return report, EXIT_OK
     if args.action == "preimage":
+        _refuse(args, "metric preimage", "--x", "--fuel")
         report = RunReport("metric.preimage", {"space": args.space, "fun": args.fun, "y": args.y})
         report.bounds["m_max"] = args.m_max
         report.bounds["level"] = args.level
@@ -332,6 +350,7 @@ def cmd_metric(args):
         report.output = {"approx": str(p.approx(args.level))}
         return report, EXIT_OK
     if args.action == "modulus":
+        _refuse(args, "metric modulus", "--x", "--y", "--level", "--fuel")
         report = RunReport("metric.modulus", {"space": args.space, "fun": args.fun})
         report.bounds["level_cap"] = args.m_max
         M = modulus_of(space, F, args.m_max)
@@ -339,6 +358,7 @@ def cmd_metric(args):
         valid = all(modulus_valid(space, F, M, m, args.m_max) for m in range(args.m_max + 1))
         report.output = {"modulus": values, "valid": valid}
         return report, EXIT_OK if valid else EXIT_VERIFY
+    _refuse(args, "metric banach-h", "--y", "--m-max")
     report = RunReport("metric.banach-h", {"space": args.space, "pair": args.fun, "x": args.x})
     report.bounds["level"] = args.level
     fuel = report.fuel(args.fuel)
@@ -386,6 +406,7 @@ def cmd_decode(args):
         raise ParseError(args.code, 0, f"a code on the {args.space} nets ({exc})") from exc
     report = RunReport("decode", {"code": args.code, "space": args.space})
     if args.check:
+        _refuse(args, "decode --check", "--x", "--level")
         bad = check_code(fn, entries, space)
         report.output = {"check": "pass" if not bad else "fail", "bad_entries": bad}
         return report, EXIT_OK if not bad else EXIT_VERIFY
@@ -419,15 +440,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fuel", type=positive_int)
 
     sub = top.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: argv spells out each flag it gives, which is how
+    # `run` knows what was given
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("oracle", help="lpo / mu0 / mu / llpomin on a sequence literal")
+    p = command("oracle", help="lpo / mu0 / mu / llpomin on a sequence literal")
     p.add_argument("--op", dest="search", choices=ORACLE_OPS, required=True)
     p.add_argument("--seq", required=True)
     p.add_argument("--promise", choices=["no-zero", "all-zero"])
     common(p)
     p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("range", help="rho/beta verification and translations")
+    p = command("range", help="rho/beta verification and translations")
     p.add_argument("action", choices=["verify", "translate", "bounding"])
     p.add_argument("--f", required=True)
     p.add_argument("--aux")
@@ -438,14 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_range)
 
-    p = sub.add_parser("reduce", help="named reduction pipelines")
+    p = command("reduce", help="named reduction pipelines")
     p.add_argument("--pipeline", dest="search", choices=PIPELINES, required=True)
     p.add_argument("--seq", required=True)
     p.add_argument("--promise", choices=["no-zero", "all-zero"])
     common(p)
     p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("banach-nat", help="bijection from two injections, plus verification")
+    p = command("banach-nat", help="bijection from two injections, plus verification")
     p.add_argument("--f0", required=True)
     p.add_argument("--f1", required=True)
     p.add_argument("--b0")
@@ -456,19 +480,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, fuel=False)
     p.set_defaults(fn=cmd_banach_nat)
 
-    p = sub.add_parser("gadget", help="build the first-zero-parity gadget and report h(1)")
+    p = command("gadget", help="build the first-zero-parity gadget and report h(1)")
     p.add_argument("--g", required=True)
     p.add_argument("--n-max", type=int_at_least(2), default=70)  # h(1) needs 1 in the domain
     p.add_argument("--depth", type=positive_int)
     common(p, fuel=False)
     p.set_defaults(fn=cmd_gadget)
 
-    p = sub.add_parser("diagram", help="two-row arrow diagram of a pair")
+    p = command("diagram", help="two-row arrow diagram of a pair")
     p.add_argument("--g")
     p.add_argument("--width", type=int_at_least(4), default=10)
     p.set_defaults(fn=cmd_diagram)
 
-    p = sub.add_parser("metric", help="range / preimage / modulus / banach-h on nets")
+    p = command("metric", help="range / preimage / modulus / banach-h on nets")
     p.add_argument("action", choices=["range", "preimage", "modulus", "banach-h"])
     p.add_argument("--space", choices=["interval", "cantor"], default="interval")
     p.add_argument("--fun", "--pair", dest="fun", default="halving")
@@ -481,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_metric)
 
-    p = sub.add_parser("decode", help="decode a function code (JSON quintuples)")
+    p = command("decode", help="decode a function code (JSON quintuples)")
     p.add_argument("--code", required=True)
     p.add_argument("--space", choices=["interval", "cantor"], default="interval")
     p.add_argument("--x")
@@ -491,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, fuel=False)
     p.set_defaults(fn=cmd_decode)
 
-    p = sub.add_parser("corpus", help="run a seeded verification suite")
+    p = command("corpus", help="run a seeded verification suite")
     p.add_argument("--suite", choices=["reductions", "translators", "banach-nat",
                                        "metric", "all"], default="all")
     p.add_argument("--seed", type=int, default=0)
@@ -507,6 +531,9 @@ def run(argv) -> int:
     only place a report is printed, so a raised error prints none."""
     try:
         args = build_parser().parse_args(argv)
+        # every flag argv gives, for `_refuse`: `--fuel 5` and `--fuel=5`
+        # both give --fuel
+        args.given = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
         report, code = args.fn(args)
     except ParseError as exc:
         print(exc, file=sys.stderr)  # the message starts "parse error at ..."

@@ -174,10 +174,7 @@ def preimage_select(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> Point:
             if _image_matches(X, F, level, i, y, m):
                 yield x
 
-    def lookahead_ok(cand: Value, m: int) -> bool:
-        # every cap is checked before any search, so a level past the cap
-        # raises even where a smaller j would already fail
-        levels = [pad(j) for j in range(m + 1, m_max + 1)]
+    def lookahead_ok(cand: Value, m: int, levels: List[int]) -> bool:
         if F.solver:
             # One search at j = m_max covers each j in (m, m_max]: its witness,
             # truncated or zero-padded to level pad(j), is a witness at j.
@@ -197,8 +194,15 @@ def preimage_select(X: CompactSpace, F: UCFun, y: Point, m_max: int) -> Point:
 
     def compute_level(m: int, below: List[Value]) -> Value:
         prev = below[m - 1] if m > 0 else None
+        levels = None
         for cand in candidates(m, prev):
-            if lookahead_ok(cand, m):
+            if levels is None:
+                # the levels pad(j) for m < j <= m_max, built on the first
+                # candidate: every cap is checked before any search, so a
+                # level past the cap raises even where a smaller j would
+                # already fail
+                levels = [pad(j) for j in range(m + 1, m_max + 1)]
+            if lookahead_ok(cand, m, levels):
                 return cand
         raise ConstructionStalledError(m)
 

@@ -212,6 +212,11 @@ reduction_llpomin_to_lpo = Reduction(
     pre=phi_map, post=lambda n, _s: n, name="LLPOmin<=sW LPO")
 
 
+def _all_ones() -> UltimatelyConstantSeq:
+    """Grilliot's base point: the literal ;1, promised to have no zero."""
+    return UltimatelyConstantSeq((), 1, name="all-ones", no_zero=True)
+
+
 def grilliot_lpo(R: Realizer, h: LazySeq, fuel: FuelLike) -> OracleResult:
     """Zero detection from any first-zero-parity realizer, by Grilliot's trick.
 
@@ -226,7 +231,7 @@ def grilliot_lpo(R: Realizer, h: LazySeq, fuel: FuelLike) -> OracleResult:
     """
     b = _bound(fuel)
     inner = Fuel(2 * b + 2)
-    f = UltimatelyConstantSeq((), 1, name="all-ones").with_no_zero_promise()
+    f = _all_ones()
     r_res = R(f, inner)
     if not r_res.found:
         return Exhausted(b)
@@ -247,7 +252,7 @@ def grilliot_lpo(R: Realizer, h: LazySeq, fuel: FuelLike) -> OracleResult:
 
 def grilliot_witness_family(R: Realizer, count: int, fuel: FuelLike) -> list[LazySeq]:
     """The g_n family witnessing sequential discontinuity of R at all-ones."""
-    f = UltimatelyConstantSeq((), 1).with_no_zero_promise()
+    f = _all_ones()
     r = _parity(R(f, fuel).unwrap())
     return [UltimatelyConstantSeq((1,) * (1 + r + 2 * n), 0, name=f"g_{n}")
             for n in range(count)]

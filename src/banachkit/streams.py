@@ -9,13 +9,15 @@ key is the read horizon, and the memo size the number of evaluations.
 Every bounded search of the form "least t < bound with s(t) = v" (witnesses,
 bounding values, first zeros) goes through `LazySeq.first_index`. Each
 sequence keeps one first-occurrence index over the prefix it has scanned, so
-repeated searches cost no rereads. The index reads through the sequence's own
-point query and reads exactly what a linear scan would: s(0..t) for the
-answer t, or s(0..bound-1) when there is none.
+repeated searches cost no rereads. A scan reads the memo and the generator
+in one loop of its own, and a literal computes its answer in closed form;
+either way it stores and indexes exactly what a linear scan would read:
+s(0..t) for the answer t, or s(0..bound-1) when there is none.
 
-A sequence may be shared between threads. A memo hit and a recorded index
-answer take no lock: each is one dict lookup, atomic in CPython, and an entry
-never changes once stored. Scans of the index run one at a time.
+A sequence may be shared between threads. A memo hit, a recorded index
+answer and a search inside the scanned prefix for an unrecorded value take
+no lock: each is one or two dict or attribute reads, atomic in CPython, and
+an entry never changes once stored. Scans of the index run one at a time.
 
 The classically non-computable functionals (zero detection, zero selection,
 least zero) are made honest by an explicit search bound ("fuel"): a positive
@@ -60,7 +62,13 @@ class LazySeq:
     outside any lock, and of racing misses on one index the first `setdefault`
     wins; a `_first` entry is written once, under `_scan_lock`, and holds the
     least index of its value. `_scan_lock`, the only lock, serializes the
-    scans, which update `_first` and `_scanned` together.
+    scans (`_scan`), which add to `_first` and then publish the new frontier
+    `_scanned` once, when the scan ends.
+
+    So `first_index` also answers None with no lock for an unrecorded value
+    and a bound at most the frontier. It reads `_scanned` before `_first`:
+    every value of s(0..scanned-1) was in `_first` before that frontier was
+    published, so a value missing from `_first` does not occur below it.
 
     `no_zero` and `all_zero` are caller-asserted promises about the whole
     (infinite) sequence; they are never derived from the generator. A found
@@ -98,21 +106,38 @@ class LazySeq:
         Reads s(0..t) for the answer t, or s(0..bound-1) when there is none,
         and of those only the indices no earlier search has scanned.
         """
+        scanned = self._scanned  # before `_first`: see the class docstring
         t = self._first.get(value)
         if t is None:
+            if bound <= scanned:
+                return None
             with self._scan_lock:
                 # a scan that held the lock before this one may have recorded it
                 t = self._first.get(value)
                 if t is None:
-                    for t in range(self._scanned, bound):
-                        v = self(t)
-                        self._first.setdefault(v, t)
-                        self._scanned = t + 1
-                        if v == value:
-                            break
-                    else:
-                        return None
+                    return self._scan(value, bound)
         return t if t < bound else None
+
+    def _scan(self, value: int, bound: int) -> Optional[int]:
+        """Extend the index from the frontier until value or bound; the least
+        such t, or None. Runs under `_scan_lock` for a value `_first` lacks."""
+        cache, first, generator = self._cache, self._first, self._generator
+        t = self._scanned
+        try:
+            while t < bound:
+                v = cache.get(t)
+                if v is None:
+                    v = generator(t)
+                    if not isinstance(v, int) or v < 0:
+                        raise ValueError(f"generator produced non-natural value {v!r} at {t}")
+                    v = cache.setdefault(t, v)
+                first.setdefault(v, t)
+                t += 1
+                if v == value:
+                    return t - 1
+            return None
+        finally:
+            self._scanned = t
 
     def with_no_zero_promise(self) -> "LazySeq":
         """Same sequence, with the caller's word that it has no zero."""
@@ -129,7 +154,12 @@ class LazySeq:
 
 
 class UltimatelyConstantSeq(LazySeq):
-    """Finite prefix followed by a constant tail; the literal form `v0,..,vk;t`."""
+    """Finite prefix followed by a constant tail; the literal form `v0,..,vk;t`.
+
+    Its scan is in closed form: the answer comes from `prefix.index` or the
+    tail, with no generator call, and the memo and index get the entries of
+    exactly the indices a linear scan would read.
+    """
 
     def __init__(self, prefix: Sequence[int], tail: int, **kwargs):
         self.prefix = tuple(int(v) for v in prefix)
@@ -138,8 +168,29 @@ class UltimatelyConstantSeq(LazySeq):
             raise ValueError("sequence values must be natural numbers")
         pre = self.prefix
         tl = self.tail
-        super().__init__(lambda n: pre[n] if n < len(pre) else tl,
-                         name=kwargs.pop("name", format_seq(pre, tl)), **kwargs)
+        if "name" not in kwargs:
+            kwargs["name"] = format_seq(pre, tl)
+        super().__init__(lambda n: pre[n] if n < len(pre) else tl, **kwargs)
+
+    def _scan(self, value: int, bound: int) -> Optional[int]:
+        pre, tl = self.prefix, self.tail
+        start = self._scanned
+        tail_from = max(start, len(pre))  # the first tail index to scan
+        try:
+            t = pre.index(value, start, bound)
+        except ValueError:
+            t = tail_from if value == tl and tail_from < bound else None
+        end = bound if t is None else t + 1
+        cache, first = self._cache, self._first
+        for n, v in enumerate(pre[start:end], start):
+            cache.setdefault(n, v)
+            first.setdefault(v, n)
+        if tail_from < end:
+            for n in range(tail_from, end):
+                cache.setdefault(n, tl)
+            first.setdefault(tl, tail_from)
+        self._scanned = max(start, end)
+        return t
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,36 @@ class TestExitCodes:
         assert run([str(code) if a == "{code}" else a for a in argv]) == EXIT_PARSE
         assert f"expected {flag} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag, action", [
+        (["range", "translate", "--f", "double", "--aux", "const:1", "--dir", "beta-to-rho",
+          "--fuel", "5"], "--fuel", "range translate --dir beta-to-rho"),
+        (["banach-nat", "--f0", "succ", "--f1", "succ", "--b0", "identity", "--b1", "identity",
+          "--bounds-fuel", "7"], "--bounds-fuel", "banach-nat with --b0 and --b1"),
+        (["range", "bounding", "--f", "double", "--aux", "const:1"], "--aux", "range bounding"),
+        # a flag given at its default value is given all the same
+        (["range", "bounding", "--f", "double", "--kind", "rho"], "--kind", "range bounding"),
+        (["metric", "modulus", "--m-max", "3", "--x", "0"], "--x", "metric modulus"),
+        (["metric", "modulus", "--m-max", "3", "--level=2"], "--level", "metric modulus"),
+        (["metric", "banach-h", "--x", "1/2^1", "--m-max", "4"], "--m-max", "metric banach-h"),
+        (["metric", "range", "--y", "1/2^1", "--w", "1;0"], "--w",
+         "metric --space interval --fun halving"),
+        (["decode", "--code", "{code}", "--check", "--level", "2"], "--level", "decode --check"),
+    ])
+    def test_unread_flag_is_three(self, capsys, tmp_path, argv, flag, action):
+        # a flag the action never reads is refused, not silently dropped
+        code = tmp_path / "code.json"
+        code.write_text(json.dumps([{"n": 0, "a": [0, 0], "r": "1", "b": [0, 0], "s": "1"}]))
+        assert run([str(code) if a == "{code}" else a for a in argv]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"parse error at position 0 in '{flag}': expected a flag that {action} reads\n"
+
+    def test_flags_are_not_abbreviated(self, capsys):
+        # an abbreviation would hide a given flag from the unread-flag check
+        assert run(["range", "translate", "--f", "double", "--aux", "const:1", "--fue", "5"]) \
+            == EXIT_PARSE
+        assert "unrecognized arguments: --fue 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("b0, b1", [("", ""), ("identity", ""), ("", "identity")])
     def test_empty_bound_is_three(self, capsys, b0, b1):
         assert run(["banach-nat", "--f0", "succ", "--f1", "succ",

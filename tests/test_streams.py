@@ -183,21 +183,23 @@ class TestFirstIndex:
             calls.append(n)
             return u(n)
 
-        class Counted(LazySeq):
-            queries = 0
+        class CountedMemo(dict):
+            """A memo that counts its lookups: the scan reads it directly."""
+            lookups = 0
 
-            def __call__(self, n):
-                self.queries += 1
-                return super().__call__(n)
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
 
-        s = Counted(gen)
+        s = LazySeq(gen)
+        s._cache = CountedMemo()
         read = set()
         for value, bound in queries:
             assert s.first_index(value, bound) == linear_first_index(u, value, bound, read)
             assert set(calls) == read
         # the memo keys are the indices read, and no index is read twice
         assert set(s._cache) == read
-        assert s.queries == len(read)
+        assert s._cache.lookups == len(read) == len(calls)
         # one value searched again with growing bounds: each search starts
         # where the last left off
         value = queries[-1][0]
@@ -205,7 +207,26 @@ class TestFirstIndex:
             assert s.first_index(value, bound) == linear_first_index(u, value, bound, read)
             assert set(calls) == read
         assert set(s._cache) == read
-        assert s.queries == len(read) == len(calls)
+        assert s._cache.lookups == len(read) == len(calls)
+
+    @given(ult_const(), st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 24)) | st.integers(0, 24).map(lambda n: (n,)),
+        min_size=1, max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_literal_scan_matches_generic_scan(self, u, steps):
+        # the literal's closed-form scan against LazySeq's loop over the same
+        # values: (n,) is a point query, (value, bound) a search; bound 0,
+        # bounds below the frontier and past the prefix all occur
+        literal = UltimatelyConstantSeq(u.prefix, u.tail)
+        generic = LazySeq(lambda n: u(n))
+        for step in [(0, 0)] + steps + [(0, 0)]:
+            if len(step) == 1:
+                assert literal(*step) == generic(*step)
+            else:
+                assert literal.first_index(*step) == generic.first_index(*step)
+            assert literal._cache == generic._cache
+            assert literal._first == generic._first
+            assert literal._scanned == generic._scanned
 
     @given(ult_const(), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 24)),
                                  min_size=1, max_size=12))
@@ -269,42 +290,55 @@ class TestConcurrency:
         assert len(out) == 8 and all(o == out[0] for o in out)
 
     def test_point_queries_race_first_index(self):
-        values = [(7 * n * n + 3) % 23 for n in range(300)]
+        # a tail of 23, a value the first 300 lack
+        values = [(7 * n * n + 3) % 23 for n in range(300)] + [23] * 60
         # sleep(0) hands the interpreter to another thread mid-query
-        s = LazySeq(lambda n: time.sleep(0) or values[n])
-        points = list(range(0, 300, 3))
-        searches = [(v, b) for b in (40, 300, 120) for v in range(23)]
-        expected = ([values[n] for n in points],
-                    [linear_first_index(values.__getitem__, v, b, set()) for v, b in searches])
-        out = []
+        race_point_queries_and_searches(LazySeq(lambda n: time.sleep(0) or values[n]), values)
+        # the literal's closed-form scan
+        race_point_queries_and_searches(UltimatelyConstantSeq(values[:300], 23), values)
 
-        def worker(k):
-            # each thread alternates a point query with a search, starting
-            # both lists at its own offset
-            got = ([None] * len(points), [None] * len(searches))
-            for j in range(len(points)):
-                i = (j + 11 * k) % len(points)
-                got[0][i] = s(points[i])
-                i = (j + 5 * k) % len(searches)
-                got[1][i] = s.first_index(*searches[i])
-            out.append(got)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(12)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert out == [expected] * 12
-        assert all(values[n] == v for n, v in s._cache.items())
-        assert set(s._cache) == set(points) | set(range(s._scanned))
-        for v, t in s._first.items():
-            assert values.index(v) == t
+def race_point_queries_and_searches(s, values):
+    """12 threads query and search s, whose values are values and then
+    values[-1], and see the answers of one thread alone; the memo, index and
+    frontier end as a linear scan of all of values leaves them."""
+    points = list(range(0, 300, 3))
+    # values absent below each bound (24, and 23 below 300) are searched
+    # again once a scan has passed that bound, which answers None without
+    # the scan lock
+    searches = [(v, b) for b in (40, 300, 120, 360, 10) for v in range(25)]
+    expected = ([values[n] for n in points],
+                [linear_first_index(values.__getitem__, v, b, set()) for v, b in searches])
+    out = []
+
+    def worker(k):
+        # each thread alternates a point query with a search, starting
+        # both lists at its own offset
+        got = ([None] * len(points), [None] * len(searches))
+        for j in range(max(len(points), len(searches))):
+            i = (j + 11 * k) % len(points)
+            got[0][i] = s(points[i])
+            i = (j + 5 * k) % len(searches)
+            got[1][i] = s.first_index(*searches[i])
+        out.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(12)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert out == [expected] * 12
+    assert all(values[n] == v for n, v in s._cache.items())
+    assert set(s._cache) == set(points) | set(range(s._scanned))
+    assert s._scanned == len(values)
+    for v, t in s._first.items():
+        assert values.index(v) == t
 
 
 class TestLiterals:
